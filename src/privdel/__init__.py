@@ -12,7 +12,7 @@ certification/discrimination games as seeded Monte-Carlo experiments, and
 a Wegman-Carter one-time MAC for the classical integrity layer.
 """
 
-from .qubit import Basis, Qubit, apply_x, measure, prepare
+from .qubit import Basis
 from .encoding import (
     EncodedState,
     KeyLength,

@@ -1,11 +1,12 @@
 """Vectorized Monte-Carlo kernels for the certification and discrimination games.
 
-Trials are simulated in batches: one axis for the trial, one for the
-position. The Born-rule arithmetic is shared with the per-instance path
-through `qubit.measure_sites` / `qubit.measure_all_sites`, so the physics
-has a single implementation; only the plumbing (key sampling, placement,
-accept logic) is written in batch form here. Semantics per trial slice are
-identical to running `parties` step by step, which the test suite checks.
+Trials are simulated in batches: a (t, m+n) uint8 site array, one axis
+for the trial and one for the position. The measurement rule is shared
+with the per-instance path through `qubit.measure_sites` /
+`qubit.measure_all_sites`, so the physics has a single implementation;
+only the plumbing (key sampling, placement, accept logic) is written in
+batch form here. Semantics per trial slice are identical to running
+`parties` step by step, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .qubit import Basis, EIGENSTATES, measure_all_sites, measure_sites
+from .qubit import Basis, measure_all_sites, measure_sites
 from .parties import (
     Custom,
     FirstBit,
@@ -112,27 +113,24 @@ def run_batch(
     traps, rest = _uniform_subsets(t, total, n, rng)
     trap_values = rng.integers(0, 2, (t, n), dtype=np.uint8)
 
-    bases = np.zeros((t, total), dtype=np.uint8)
-    np.put_along_axis(bases, traps, Basis.DIAGONAL, axis=1)
-    bits = np.empty((t, total), dtype=np.uint8)
-    np.put_along_axis(bits, traps, trap_values, axis=1)
-    np.put_along_axis(bits, rest, messages, axis=1)
-    amplitudes = EIGENSTATES[bases, bits]
+    sites = np.empty((t, total), dtype=np.uint8)
+    np.put_along_axis(sites, traps, 2 * Basis.DIAGONAL + trap_values, axis=1)
+    np.put_along_axis(sites, rest, messages, axis=1)
 
     attack_pos, attack_bases = _attack_positions(adversary, t, total, rng)
     saw_zero = None
     outcome_zero = None
     if attack_pos is not None:
-        outcomes = measure_sites(amplitudes, attack_pos, attack_bases, rng)
+        outcomes = measure_sites(sites, attack_pos, attack_bases, rng)
         if legit is not None:
             hit = (attack_pos == 0) & (attack_bases == Basis.RECTILINEAR)
             saw_zero = hit.any(axis=1)
             outcome_zero = (outcomes * hit).sum(axis=1)
 
     if task is Task.STORAGE:
-        checks = measure_sites(amplitudes, traps, Basis.DIAGONAL, rng)
+        checks = measure_sites(sites, traps, Basis.DIAGONAL, rng)
     else:
-        announced = measure_all_sites(amplitudes, Basis.DIAGONAL, rng)
+        announced = measure_all_sites(sites, Basis.DIAGONAL, rng)
         checks = np.take_along_axis(announced, traps, axis=1)
     accepted = (checks == trap_values).all(axis=1)
 

@@ -24,7 +24,7 @@ from .experiments import (
     runs_test_pvalue,
     stream_rng,
 )
-from .qubit import Basis
+from .qubit import EIGENSTATES, Basis
 from .parties import (
     Custom,
     FirstBit,
@@ -88,8 +88,6 @@ def _trap_survival_factor() -> Fraction:
     branch probability |<rect_o|diag_t>|^2, then verifier match
     probability |<diag_t|rect_o>|^2.
     """
-    from .qubit import EIGENSTATES
-
     total = Fraction(0)
     for trap_value in (0, 1):
         trap_state = EIGENSTATES[Basis.DIAGONAL, trap_value]

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parties
+
 LN2 = math.log(2.0)
 
 
@@ -160,8 +162,6 @@ def analytic_cert_probability(m, n, strategy) -> float | None:
     independently of the key gives the same hypergeometric overlap law) and
     the first-bit probe. Returns None for key-dependent custom strategies.
     """
-    from . import parties
-
     if isinstance(strategy, parties.NoOp):
         return 1.0
     if isinstance(strategy, parties.RectilinearSample):

@@ -24,6 +24,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,11 +33,13 @@ import numpy as np
 from . import acceptance, bounds
 from .auth import auth_key_to_hex, generate_auth_key, tag, tag_to_hex
 from .encoding import (
+    SecretKey,
     as_bits,
     bits_to_string,
     encode,
     generate_key,
     key_from_json,
+    key_length_bits,
     key_to_json,
     random_message,
 )
@@ -75,10 +78,19 @@ def _resolve_out(path_text: str) -> Path:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write through a uniquely named sibling temp file, then rename over `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as out:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(out.fileno(), 0o666 & ~umask)  # the mode a plain open() gives
+            out.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _render_rows(rows: list[dict], columns: Sequence[str], fmt: str) -> str:
@@ -270,16 +282,19 @@ def demo_erasure(
     fixed_key=None,
     fixed_message=None,
     echo=print,
-) -> list[dict]:
-    """Run annotated provable-deletion sessions; returns transcript rows.
+) -> tuple[list[dict], list[SecretKey]]:
+    """Run annotated provable-deletion sessions; returns transcript rows and keys.
 
     The first session is narrated step by step; with repeat > 1 the rest
     run silently and an aggregate acceptance line is printed. A persisted
     key (and optionally a message) can be replayed instead of drawing
-    fresh ones.
+    fresh ones. The i-th key is the one session i ran under.
     """
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, got {repeat}")
     adversary = adversary if adversary is not None else NoOp()
     transcripts = []
+    keys = []
     accepted_count = 0
     for index in range(repeat):
         rng = stream_rng(seed, index)
@@ -288,6 +303,7 @@ def demo_erasure(
             as_bits(fixed_message) if fixed_message is not None else random_message(m, rng)
         )
         key = fixed_key if fixed_key is not None else generate_key(m, n, rng)
+        keys.append(key)
         auth_key = generate_auth_key(64, rng)
         auth_tag = tag(message, auth_key)
         if verbose:
@@ -349,7 +365,7 @@ def demo_erasure(
             f"{repeat} sessions: accepted {accepted_count}, "
             f"rejected fraction {1 - accepted_count / repeat:.4f}"
         )
-    return transcripts
+    return transcripts, keys
 
 
 def _cmd_demo(parser, args) -> int:
@@ -366,7 +382,7 @@ def _cmd_demo(parser, args) -> int:
         fixed_message = args.message
     _check_mn(parser, args.m, args.n)
     adversary = _adversary_from_args(parser, args)
-    transcripts = demo_erasure(
+    transcripts, keys = demo_erasure(
         args.m,
         args.n,
         args.seed,
@@ -376,16 +392,9 @@ def _cmd_demo(parser, args) -> int:
         fixed_message=fixed_message,
     )
     if args.key_out is not None:
-        if fixed_key is not None:
-            key = fixed_key
-        else:
-            # replay the first session's draws: message first, then key
-            rng = stream_rng(args.seed, 0)
-            if fixed_message is None:
-                random_message(args.m, rng)
-            key = generate_key(args.m, args.n, rng)
         _atomic_write(
-            _resolve_out(args.key_out), json.dumps(key_to_json(key), sort_keys=True) + "\n"
+            _resolve_out(args.key_out),
+            json.dumps(key_to_json(keys[0]), sort_keys=True) + "\n",
         )
     if args.out is not None:
         _emit(
@@ -418,10 +427,10 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _cmd_keylen(parser, args) -> int:
-    from .encoding import key_length_bits
-
     if args.m < 0 or args.n < 0:
         parser.error("--m and --n must be non-negative")
+    if args.m == 0 and args.n > 0:
+        parser.error("--m must be >= 1 when --n >= 1: n*log2(m) is undefined at m=0")
     exact, approx = key_length_bits(args.m, args.n)
     rel = abs(approx - exact) / exact if exact else 0.0
     sys.stdout.write(
@@ -575,7 +584,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_check(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](parser, args)
+    try:
+        return _COMMANDS[args.command](parser, args)
+    except (ValueError, OSError) as exc:
+        # domain errors from bad flag values or unusable files: exit 2, no traceback
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Key generation, trap-bit sprinkling and key-length accounting.
 
 The sender hides n diagonal-basis trap bits at a uniformly random set of
-positions among the m rectilinear-basis message bits. The secret key is
-the trap positions plus the trap values; its length in bits is
-n + log2(C(m+n, n)).
+positions among the m rectilinear-basis message bits. The encoded state
+holds one uint8 site, ``2*basis + bit``, per position (see `qubit`). The
+secret key is the trap positions plus the trap values; its length in
+bits is n + log2(C(m+n, n)).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qubit import EIGENSTATES, Basis, Qubit, measure_sites
+from .qubit import Basis, measure_sites
 
 LN2 = math.log(2.0)
 
@@ -73,11 +74,6 @@ class SecretKey:
     def message_length(self) -> int:
         return self.total_length - self.num_traps
 
-    def trap_mask(self) -> np.ndarray:
-        mask = np.zeros(self.total_length, dtype=bool)
-        mask[self.trap_positions] = True
-        return mask
-
     def non_trap_positions(self) -> np.ndarray:
         mask = np.ones(self.total_length, dtype=bool)
         mask[self.trap_positions] = False
@@ -86,22 +82,12 @@ class SecretKey:
 
 @dataclass(slots=True)
 class EncodedState:
-    """The transmitted train of qubits, one amplitude 2-vector per position."""
+    """The transmitted train of qubits, one uint8 site ``2*basis + bit`` per position."""
 
-    amplitudes: np.ndarray
+    sites: np.ndarray
 
     def __len__(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def qubit(self, index: int) -> Qubit:
-        a0, a1 = self.amplitudes[index]
-        return Qubit(float(a0), float(a1))
-
-    def __iter__(self):
-        return (self.qubit(i) for i in range(len(self)))
-
-    def copy(self) -> "EncodedState":
-        return EncodedState(self.amplitudes.copy())
+        return self.sites.shape[0]
 
 
 def generate_key(m: int, n: int, rng: np.random.Generator) -> SecretKey:
@@ -154,15 +140,10 @@ def encode(message, key: SecretKey) -> EncodedState:
         raise ValueError(
             f"message length {msg.size} does not match key (expects {key.message_length})"
         )
-    total = key.total_length
-    bases = np.zeros(total, dtype=np.uint8)
-    bases[key.trap_positions] = Basis.DIAGONAL
-    bits = np.empty(total, dtype=np.uint8)
-    bits[key.trap_positions] = key.trap_values
-    mask = np.ones(total, dtype=bool)
-    mask[key.trap_positions] = False
-    bits[mask] = msg
-    return EncodedState(EIGENSTATES[bases, bits])
+    sites = np.empty(key.total_length, dtype=np.uint8)
+    sites[key.non_trap_positions()] = msg
+    sites[key.trap_positions] = 2 * Basis.DIAGONAL + key.trap_values
+    return EncodedState(sites)
 
 
 def decode_non_trap(
@@ -176,7 +157,7 @@ def decode_non_trap(
     if len(state) != key.total_length:
         raise ValueError("state length does not match key")
     positions = key.non_trap_positions()
-    return measure_sites(state.amplitudes, positions, Basis.RECTILINEAR, rng)
+    return measure_sites(state.sites, positions, Basis.RECTILINEAR, rng)
 
 
 def key_to_json(key: SecretKey) -> dict:
@@ -190,9 +171,13 @@ def key_to_json(key: SecretKey) -> dict:
 
 
 def key_from_json(obj: dict) -> SecretKey:
-    positions = np.asarray(obj["trap_positions"], dtype=np.intp)
-    values = as_bits(obj["trap_values"])
-    total = int(obj["m"]) + int(obj["n"])
-    if positions.size != int(obj["n"]):
-        raise ValueError("trap position count does not match n")
-    return SecretKey(total, positions, values)
+    """Inverse of `key_to_json`; any malformed object raises ValueError."""
+    try:
+        positions = np.asarray(obj["trap_positions"], dtype=np.intp)
+        values = as_bits(obj["trap_values"])
+        m, n = int(obj["m"]), int(obj["n"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed key object: {exc!r}") from exc
+    if positions.ndim != 1 or positions.size != n:
+        raise ValueError("trap positions must be a list of n integers")
+    return SecretKey(m + n, positions, values)

@@ -11,7 +11,6 @@ diagonal-basis measurement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Union
@@ -168,7 +167,7 @@ def adversary_intervene(
     positions, bases = attack_sites(strategy, len(state), rng)
     if positions.size == 0:
         return state, EavesdropRecord(*_EMPTY_RECORD_ARGS)
-    outcomes = measure_sites(state.amplitudes, positions, bases, rng)
+    outcomes = measure_sites(state.sites, positions, bases, rng)
     return state, EavesdropRecord(positions, bases, outcomes)
 
 
@@ -224,7 +223,7 @@ def prover_respond(
     if isinstance(strategy, Honest):
         if task is Task.STORAGE:
             return StorageCert(state)
-        return ErasureCert(measure_all_sites(state.amplitudes, Basis.DIAGONAL, rng))
+        return ErasureCert(measure_all_sites(state.sites, Basis.DIAGONAL, rng))
     if isinstance(strategy, BlindErasureGuess):
         if task is not Task.ERASURE:
             raise ValueError("BlindErasureGuess only applies to the erasure task")
@@ -253,7 +252,7 @@ def verify(
         if len(state) != key.total_length:
             raise ValueError("certificate length does not match key")
         outcomes = measure_sites(
-            state.amplitudes, key.trap_positions, Basis.DIAGONAL, rng
+            state.sites, key.trap_positions, Basis.DIAGONAL, rng
         )
         if not np.array_equal(outcomes, key.trap_values):
             return VerifyResult(False, None)
@@ -330,7 +329,3 @@ def transcript_row(
         "accepted": bool(accepted),
         "record": record_to_json(record),
     }
-
-
-def transcript_line(row: dict) -> str:
-    return json.dumps(row, sort_keys=True)

@@ -1,11 +1,13 @@
-"""Exact single-qubit mechanics restricted to the real plane.
+"""Exact single-qubit mechanics for conjugate-coding states.
 
 Every state occurring in the trap-bit protocols is one of the four
-conjugate-coding states (or a real combination of them under the optional
-noise hook), so a state is a real 2-vector of amplitudes in the
-computational basis and measurement is the Born rule on those vectors.
-Complex amplitudes, density matrices and multi-qubit states are
-deliberately out of scope.
+conjugate-coding states, so a site is held symbolically as one uint8,
+``2*basis + bit``: an exact single-qubit stabilizer description
+(Aaronson & Gottesman, quant-ph/0406196). Measuring a site in its own
+basis returns its bit; measuring it in the other basis returns a fair
+coin. Either way the site collapses to the measured eigenstate.
+Superpositions other than the four eigenstates, complex phases and
+multi-qubit states are deliberately out of scope.
 
 All randomness is drawn from an injected ``numpy.random.Generator`` so
 that every run is reproducible from its seed.
@@ -14,12 +16,9 @@ that every run is reproducible from its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-
-NORMALIZATION_TOL = 1e-12
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -36,7 +35,9 @@ class Basis(IntEnum):
     DIAGONAL = 1
 
 
-# EIGENSTATES[basis, bit] is the amplitude 2-vector of that eigenstate.
+# EIGENSTATES[basis, bit] is that eigenstate as a real 2-vector in the
+# computational basis. The simulator never reads it: it is the geometry
+# that the measurement rule is checked against.
 EIGENSTATES = np.array(
     [
         [[1.0, 0.0], [0.0, 1.0]],
@@ -46,125 +47,41 @@ EIGENSTATES = np.array(
 EIGENSTATES.setflags(write=False)
 
 
-@dataclass(frozen=True, slots=True)
-class Qubit:
-    """A pure single-qubit state with real amplitudes in the computational basis."""
-
-    amplitude0: float
-    amplitude1: float
-
-    def __post_init__(self) -> None:
-        norm2 = self.amplitude0 * self.amplitude0 + self.amplitude1 * self.amplitude1
-        if abs(norm2 - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm2!r}")
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.amplitude0, self.amplitude1])
-
-
-def prepare(bit: int, basis: Basis) -> Qubit:
-    """Return the eigenstate of `basis` encoding `bit`.
-
-    Measuring the result in the same basis yields `bit` with probability 1.
-    """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    a0, a1 = EIGENSTATES[basis, bit]
-    return Qubit(float(a0), float(a1))
-
-
-def apply_x(state: Qubit) -> Qubit:
-    """Bit flip in the rectilinear basis: swaps the two amplitudes."""
-    return Qubit(state.amplitude1, state.amplitude0)
-
-
-def born_probability_zero(a0, a1, bases):
-    """Probability of outcome 0 when measuring amplitudes (a0, a1) in `bases`.
-
-    Works elementwise on arrays. Rectilinear: a0^2. Diagonal: (a0+a1)^2 / 2.
-    """
-    s = a0 + a1
-    return np.where(np.asarray(bases) == Basis.RECTILINEAR, a0 * a0, 0.5 * s * s)
-
-
-def measure(
-    state: Qubit,
-    basis: Basis,
-    rng: np.random.Generator,
-    flip_probability: float = 0.0,
-) -> tuple[int, Qubit]:
-    """Projective measurement of a single qubit.
-
-    Returns (outcome, collapsed state). The collapsed state is the measured
-    eigenstate, which is physically identical to resending it.
-
-    `flip_probability` is an optional classical readout error: with that
-    probability the reported outcome is flipped while the collapse still
-    follows the physical outcome. It defaults to 0 and consumes no
-    randomness when 0, so seeded streams are unaffected.
-    """
-    if basis == Basis.RECTILINEAR:
-        p0 = state.amplitude0 * state.amplitude0
-    else:
-        s = state.amplitude0 + state.amplitude1
-        p0 = 0.5 * s * s
-    outcome = 0 if rng.random() < p0 else 1
-    a0, a1 = EIGENSTATES[basis, outcome]
-    reported = outcome
-    if flip_probability > 0.0 and rng.random() < flip_probability:
-        reported ^= 1
-    return reported, Qubit(float(a0), float(a1))
+def _outcomes(stored: np.ndarray, bases, u: np.ndarray) -> np.ndarray:
+    """The measurement rule: the stored bit in its own basis, else `u >= 1/2`."""
+    same = (stored >> 1) == bases
+    return np.where(same, stored & 1, u >= 0.5).astype(np.uint8)
 
 
 def measure_sites(
-    amplitudes: np.ndarray,
+    sites: np.ndarray,
     positions: np.ndarray,
     bases,
     rng: np.random.Generator,
-    flip_probability: float = 0.0,
 ) -> np.ndarray:
-    """Measure selected sites of an amplitude array, collapsing it in place.
+    """Measure selected sites of a site array, collapsing it in place.
 
-    `amplitudes` has shape (..., N, 2); `positions` has shape (..., k) and
-    indexes the site axis; `bases` broadcasts against `positions`. One
-    uniform variate is consumed per measured site, in array order. Returns
-    the outcomes as a uint8 array of the same shape as `positions`.
+    `sites` has shape (..., N); `positions` has shape (..., k) and indexes
+    the site axis; `bases` broadcasts against `positions`. One uniform
+    variate is consumed per measured site, in array order. Returns the
+    outcomes as a uint8 array of the same shape as `positions`.
     """
     pos = np.asarray(positions, dtype=np.intp)
     b = np.broadcast_to(np.asarray(bases, dtype=np.uint8), pos.shape)
-    rows = np.take_along_axis(amplitudes, pos[..., None], axis=-2)
-    a0 = rows[..., 0]
-    a1 = rows[..., 1]
-    s = a0 + a1
-    p0 = np.where(b == Basis.RECTILINEAR, a0 * a0, 0.5 * s * s)
-    outcomes = (rng.random(pos.shape) >= p0).view(np.uint8)
-    if flip_probability > 0.0:
-        flips = (rng.random(pos.shape) < flip_probability).view(np.uint8)
-        outcomes = outcomes ^ flips
-        # collapse follows the physical outcome, not the reported one
-        np.put_along_axis(
-            amplitudes, pos[..., None], EIGENSTATES[b, outcomes ^ flips], axis=-2
-        )
-        return outcomes
-    np.put_along_axis(amplitudes, pos[..., None], EIGENSTATES[b, outcomes], axis=-2)
+    stored = np.take_along_axis(sites, pos, axis=-1)
+    outcomes = _outcomes(stored, b, rng.random(pos.shape))
+    np.put_along_axis(sites, pos, 2 * b + outcomes, axis=-1)
     return outcomes
 
 
 def measure_all_sites(
-    amplitudes: np.ndarray, basis: Basis, rng: np.random.Generator
+    sites: np.ndarray, basis: Basis, rng: np.random.Generator
 ) -> np.ndarray:
-    """Measure every site of an (..., N, 2) amplitude array in one basis.
+    """Measure every site of an (..., N) site array in one basis.
 
     Collapses in place; returns outcomes with shape (..., N). Equivalent to
     `measure_sites` over all positions but avoids building an index array.
     """
-    a0 = amplitudes[..., 0]
-    a1 = amplitudes[..., 1]
-    if basis == Basis.RECTILINEAR:
-        p0 = a0 * a0
-    else:
-        s = a0 + a1
-        p0 = 0.5 * s * s
-    outcomes = (rng.random(p0.shape) >= p0).view(np.uint8)
-    amplitudes[...] = EIGENSTATES[int(basis), outcomes]
+    outcomes = _outcomes(sites, int(basis), rng.random(sites.shape))
+    sites[...] = 2 * int(basis) + outcomes
     return outcomes

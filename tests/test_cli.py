@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,16 @@ def test_cert_jsonl_format(capsys):
     assert row["adversary"] == "noop"
 
 
+def assert_exits_two(args, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2, args
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert re.match(r"privdel( \S+)?: error: ", stderr.splitlines()[-1]), stderr
+    return stderr
+
+
 def test_flag_errors_exit_two(capsys):
     for args in (
         ["cert", "--m", "0", "--n", "1"],
@@ -88,11 +99,35 @@ def test_flag_errors_exit_two(capsys):
         ["cert", "--m", "4", "--n", "2", "--adversary", "sample"],
         ["cert", "--m", "4", "--n", "2", "--adversary", "eavesdrop"],
         ["discr", "--m", "4", "--n", "2", "--legit", "0", "--trials", "10"],
+        ["cert", "--m", "4", "--n", "2", "--trials", "0"],
+        ["sweep", "--m-list", "4", "--n-list", "2", "--trials", "0"],
+        ["discr", "--m", "4", "--n", "2", "--legit", "0102", "--trials", "10"],
+        ["discr", "--n-grid", "1,2", "--ratio", "0", "--trials", "10"],
+        ["bounds", "--m", "4", "--n", "2", "--epsilon", "0"],
+        ["keylen", "--m", "0", "--n", "3"],
+        ["erasure-demo", "--repeat", "0"],
     ):
-        with pytest.raises(SystemExit) as err:
-            main(args)
-        assert err.value.code == 2
-        capsys.readouterr()
+        assert_exits_two(args, capsys)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # missing file
+        "{not json",
+        '{"m": 8, "n": 2, "trap_positions": [1, 4]}',
+        '{"m": 8, "n": 2, "trap_positions": [1, 10], "trap_values": "01"}',
+        '{"m": 8, "n": 2, "trap_positions": [-1, 4], "trap_values": "01"}',
+        '[1, 4]',
+    ],
+    ids=["missing", "bad-json", "missing-field", "past-end", "negative", "not-object"],
+)
+def test_bad_key_file_exits_two(tmp_path, capsys, content):
+    key_path = tmp_path / "key.json"
+    if content is not None:
+        key_path.write_text(content)
+    stderr = assert_exits_two(["erasure-demo", "--key-in", str(key_path)], capsys)
+    assert len(stderr.splitlines()) == 1  # no usage block
 
 
 def test_discr_reports_conditional_columns(capsys):
@@ -161,7 +196,7 @@ def test_demo_transcript_file(tmp_path, capsys):
 
 def test_demo_key_persist_and_replay(tmp_path, capsys):
     key_path = tmp_path / "key.json"
-    code, _ = run_cli(
+    code, out = run_cli(
         ["erasure-demo", "--m", "8", "--n", "2", "--seed", "3",
          "--key-out", str(key_path)],
         capsys,
@@ -169,6 +204,8 @@ def test_demo_key_persist_and_replay(tmp_path, capsys):
     assert code == 0
     persisted = json.loads(key_path.read_text())
     assert set(persisted) == {"m", "n", "trap_positions", "trap_values"}
+    # the persisted key is the one the narrated session ran under
+    assert f"trap positions {persisted['trap_positions']}, " in out
     code, out = run_cli(
         ["erasure-demo", "--key-in", str(key_path), "--seed", "3",
          "--message", "10110100"],
@@ -195,6 +232,19 @@ def test_sweep_writes_deterministic_csv(tmp_path, capsys):
     assert len(rows) == 3
     assert [row["r"] for row in rows] == ["0", "6", "12"]
     assert float(rows[0]["estimate"]) == 1.0
+
+
+def test_out_writes_past_a_stale_temp_path(tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    (tmp_path / "out.csv.tmp").mkdir()  # debris where a fixed temp name would go
+    code, _ = run_cli(
+        ["cert", "--m", "4", "--n", "2", "--trials", "200", "--seed", "0",
+         "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0
+    assert out_path.read_text().startswith("m,n,task,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):

@@ -20,8 +20,7 @@ from privdel.encoding import (
     random_message,
 )
 from privdel.experiments import stream_rng
-
-SQRT_HALF = math.sqrt(0.5)
+from privdel.qubit import Basis
 
 
 def test_generate_key_rejects_degenerate_sizes():
@@ -110,10 +109,17 @@ def test_key_length_shorthand_converges_from_above():
 
 
 def test_encode_places_traps_and_message_bits():
-    key = SecretKey(2, np.array([0]), np.array([0], dtype=np.uint8))
-    state = encode([1], key)
-    assert state.amplitudes[0] == pytest.approx([SQRT_HALF, SQRT_HALF])
-    assert state.amplitudes[1] == pytest.approx([0.0, 1.0])
+    key = SecretKey(4, np.array([0, 2]), np.array([0, 1], dtype=np.uint8))
+    state = encode([1, 0], key)
+    # site = 2*basis + bit: |+>, |1>, |->, |0>
+    assert state.sites.tolist() == [
+        2 * Basis.DIAGONAL + 0,
+        2 * Basis.RECTILINEAR + 1,
+        2 * Basis.DIAGONAL + 1,
+        2 * Basis.RECTILINEAR + 0,
+    ]
+    assert state.sites.dtype == np.uint8
+    assert len(state) == 4
 
 
 def test_encode_rejects_length_mismatch_and_non_bits():
@@ -144,15 +150,12 @@ def test_decode_checks_length():
 
 
 def test_decode_sees_a_rectilinear_flip():
-    from privdel.qubit import apply_x
-
     rng = stream_rng(6, 0)
     key = generate_key(6, 2, rng)
     message = random_message(6, rng)
     state = encode(message, key)
     target = int(key.non_trap_positions()[2])
-    flipped = apply_x(state.qubit(target))
-    state.amplitudes[target] = flipped.vector()
+    state.sites[target] ^= 1  # tamper: bit flip on a rectilinear site
     decoded = decode_non_trap(state, key, rng)
     expected = message.copy()
     expected[2] ^= 1

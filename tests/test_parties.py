@@ -46,10 +46,10 @@ def run_once(m, n, adversary, task, seed, stream):
 
 def test_noop_leaves_the_state_alone():
     rng, key, message, state = make_instance(8, 2, 0)
-    before = state.amplitudes.copy()
+    before = state.sites.copy()
     state, record = adversary_intervene(state, NoOp(), rng)
     assert len(record) == 0
-    assert np.array_equal(state.amplitudes, before)
+    assert np.array_equal(state.sites, before)
 
 
 def test_full_sampling_reads_the_message_and_coins_the_traps():
@@ -73,13 +73,13 @@ def test_firstbit_record_on_a_message_position():
         rng, key, message, state = make_instance(6, 2, 2, i)
         if 0 in key.trap_positions:
             continue
-        before = state.amplitudes.copy()
+        before = state.sites.copy()
         state, record = adversary_intervene(state, FirstBit(), rng)
         assert record.measured_positions.tolist() == [0]
         assert record.measured_bases.tolist() == [Basis.RECTILINEAR]
         assert record.outcomes.tolist() == [message[0]]
         # measuring a rectilinear eigenstate rectilinearly collapses to itself
-        assert np.array_equal(state.amplitudes, before)
+        assert np.array_equal(state.sites, before)
         return
     pytest.fail("no instance with a message bit at index 0")
 
@@ -106,10 +106,10 @@ def test_prefix_sampling_measures_the_first_positions():
 
 def test_honest_storage_returns_the_state_unchanged():
     rng, key, message, state = make_instance(9, 3, 5)
-    before = state.amplitudes.copy()
+    before = state.sites.copy()
     cert = prover_respond(state, HONEST, Task.STORAGE, rng)
     assert isinstance(cert, StorageCert)
-    assert np.array_equal(cert.returned.amplitudes, before)
+    assert np.array_equal(cert.returned.sites, before)
 
 
 def test_honest_erasure_announces_traps_exactly_and_rest_uniformly():

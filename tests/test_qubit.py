@@ -1,21 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privdel.qubit import (
-    Basis,
-    EIGENSTATES,
-    Qubit,
-    apply_x,
-    born_probability_zero,
-    measure,
-    measure_all_sites,
-    measure_sites,
-    prepare,
-)
+from privdel.acceptance import _snap_probability
+from privdel.qubit import Basis, EIGENSTATES, measure_all_sites, measure_sites
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -24,34 +16,61 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
-def test_prepare_returns_the_four_reference_states():
-    assert prepare(0, Basis.RECTILINEAR).vector() == pytest.approx([1.0, 0.0])
-    assert prepare(1, Basis.RECTILINEAR).vector() == pytest.approx([0.0, 1.0])
-    assert prepare(0, Basis.DIAGONAL).vector() == pytest.approx([SQRT_HALF, SQRT_HALF])
-    assert prepare(1, Basis.DIAGONAL).vector() == pytest.approx([SQRT_HALF, -SQRT_HALF])
+def site(basis, bit):
+    return 2 * int(basis) + bit
 
 
-def test_prepare_rejects_non_bits():
-    with pytest.raises(ValueError):
-        prepare(2, Basis.RECTILINEAR)
+class FixedUniforms:
+    """Stands in for a Generator: `random` hands out preset variates in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, shape):
+        size = math.prod(shape)
+        out, self.values = self.values[:size], self.values[size:]
+        return out.reshape(shape)
+
+
+def test_eigenstates_are_the_four_reference_states():
+    assert EIGENSTATES[Basis.RECTILINEAR, 0] == pytest.approx([1.0, 0.0])
+    assert EIGENSTATES[Basis.RECTILINEAR, 1] == pytest.approx([0.0, 1.0])
+    assert EIGENSTATES[Basis.DIAGONAL, 0] == pytest.approx([SQRT_HALF, SQRT_HALF])
+    assert EIGENSTATES[Basis.DIAGONAL, 1] == pytest.approx([SQRT_HALF, -SQRT_HALF])
+
+
+@pytest.mark.parametrize("state_basis", list(Basis))
+@pytest.mark.parametrize("bit", (0, 1))
+@pytest.mark.parametrize("measure_basis", list(Basis))
+def test_outcome_law_equals_the_born_rule(state_basis, bit, measure_basis):
+    # drive the rule with an exact grid of uniforms, so the outcome
+    # frequencies are its outcome law, and compare with |<e|psi>|^2
+    grid = 1024
+    uniforms = (np.arange(grid) + 0.5) / grid
+    sites = np.full(grid, site(state_basis, bit), dtype=np.uint8)
+    outcomes = measure_all_sites(sites, measure_basis, FixedUniforms(uniforms))
+    state = EIGENSTATES[state_basis, bit]
+    for outcome in (0, 1):
+        born = _snap_probability(float(np.dot(EIGENSTATES[measure_basis, outcome], state)) ** 2)
+        assert Fraction(int(np.count_nonzero(outcomes == outcome)), grid) == born
+    assert np.array_equal(sites, 2 * int(measure_basis) + outcomes)
 
 
 def test_same_basis_measurement_is_deterministic():
     rng = rng_for(0)
     for basis in Basis:
         for bit in (0, 1):
-            state = prepare(bit, basis)
-            for _ in range(50):
-                outcome, collapsed = measure(state, basis, rng)
-                assert outcome == bit
-                assert collapsed == state
+            sites = np.full(50, site(basis, bit), dtype=np.uint8)
+            outcomes = measure_all_sites(sites, basis, rng)
+            assert (outcomes == bit).all()
+            assert (sites == site(basis, bit)).all()
 
 
 def test_conjugate_measurement_is_a_fair_coin():
     # |<0|+>|^2 = 1/2, checked as an empirical frequency
     trials = 100_000
-    amps = np.tile(EIGENSTATES[Basis.DIAGONAL, 0], (trials, 1))
-    outcomes = measure_all_sites(amps, Basis.RECTILINEAR, rng_for(1))
+    sites = np.full(trials, site(Basis.DIAGONAL, 0), dtype=np.uint8)
+    outcomes = measure_all_sites(sites, Basis.RECTILINEAR, rng_for(1))
     assert abs(outcomes.mean() - 0.5) < 0.005
 
 
@@ -60,95 +79,64 @@ def test_cross_basis_frequencies_within_three_sigma(basis):
     trials = 20_000
     other = Basis.DIAGONAL if basis is Basis.RECTILINEAR else Basis.RECTILINEAR
     for bit in (0, 1):
-        amps = np.tile(EIGENSTATES[basis, bit], (trials, 1))
-        outcomes = measure_all_sites(amps, other, rng_for(10 + bit))
+        sites = np.full(trials, site(basis, bit), dtype=np.uint8)
+        outcomes = measure_all_sites(sites, other, rng_for(10 + bit))
         assert abs(outcomes.mean() - 0.5) <= 3 * 0.5 / math.sqrt(trials)
 
 
-def test_normalization_is_enforced():
-    with pytest.raises(ValueError):
-        Qubit(1.0, 1.0)
-    with pytest.raises(ValueError):
-        Qubit(0.5, 0.5)
-
-
-@given(st.floats(0, 2 * math.pi))
-def test_any_real_unit_vector_is_a_valid_state(theta):
-    Qubit(math.cos(theta), math.sin(theta))
-
-
-def test_apply_x_on_reference_states():
-    assert apply_x(prepare(0, Basis.RECTILINEAR)) == prepare(1, Basis.RECTILINEAR)
-    assert apply_x(prepare(1, Basis.RECTILINEAR)) == prepare(0, Basis.RECTILINEAR)
-    # |+> is invariant; |-> flips only its global sign
-    assert apply_x(prepare(0, Basis.DIAGONAL)) == prepare(0, Basis.DIAGONAL)
-    flipped = apply_x(prepare(1, Basis.DIAGONAL))
-    assert flipped.vector() == pytest.approx([-SQRT_HALF, SQRT_HALF])
-
-
-@given(st.floats(0, 2 * math.pi), st.sampled_from(list(Basis)), st.integers(0, 2**31))
+@given(
+    st.sampled_from(list(Basis)),
+    st.integers(0, 1),
+    st.sampled_from(list(Basis)),
+    st.integers(0, 2**31),
+)
 @settings(max_examples=60, deadline=None)
-def test_repeated_measurement_is_idempotent(theta, basis, seed):
+def test_repeated_measurement_is_idempotent(state_basis, bit, basis, seed):
     rng = rng_for(seed)
-    state = Qubit(math.cos(theta), math.sin(theta))
-    first, collapsed = measure(state, basis, rng)
-    second, again = measure(collapsed, basis, rng)
-    assert second == first
-    assert again == collapsed
+    sites = np.array([site(state_basis, bit)], dtype=np.uint8)
+    first = measure_sites(sites, [0], basis, rng)
+    collapsed = sites.copy()
+    second = measure_sites(sites, [0], basis, rng)
+    assert second.tolist() == first.tolist()
+    assert np.array_equal(sites, collapsed)
 
 
-@given(st.floats(0, 2 * math.pi), st.sampled_from(list(Basis)))
+@given(
+    st.sampled_from(list(Basis)),
+    st.integers(0, 1),
+    st.sampled_from(list(Basis)),
+    st.integers(0, 2**31),
+)
 @settings(max_examples=60, deadline=None)
-def test_global_sign_is_unobservable(theta, basis):
-    a0, a1 = math.cos(theta), math.sin(theta)
-    p_plus = born_probability_zero(a0, a1, basis)
-    p_minus = born_probability_zero(-a0, -a1, basis)
-    assert p_plus == pytest.approx(p_minus, abs=1e-15)
-    # same stream position, same outcome
-    out_plus, _ = measure(Qubit(a0, a1), basis, rng_for(7))
-    out_minus, _ = measure(Qubit(-a0, -a1), basis, rng_for(7))
-    assert out_plus == out_minus
+def test_collapse_preserves_normalization(state_basis, bit, basis, seed):
+    # the collapsed site is the measured eigenstate, a unit vector
+    sites = np.array([site(state_basis, bit)], dtype=np.uint8)
+    outcome = measure_sites(sites, [0], basis, rng_for(seed))
+    assert sites.tolist() == [site(basis, outcome[0])]
+    vector = EIGENSTATES[sites[0] >> 1, sites[0] & 1]
+    assert abs(float(vector @ vector) - 1.0) <= 1e-12
 
 
-@given(st.floats(0, 2 * math.pi), st.sampled_from(list(Basis)), st.integers(0, 2**31))
-@settings(max_examples=60, deadline=None)
-def test_collapse_preserves_normalization(theta, basis, seed):
-    _, collapsed = measure(Qubit(math.cos(theta), math.sin(theta)), basis, rng_for(seed))
-    norm2 = collapsed.amplitude0**2 + collapsed.amplitude1**2
-    assert abs(norm2 - 1.0) <= 1e-12
-
-
-def test_readout_flip_inverts_the_report_but_not_the_collapse():
-    rng = rng_for(3)
-    outcome, collapsed = measure(prepare(0, Basis.RECTILINEAR), Basis.RECTILINEAR, rng, flip_probability=1.0)
-    assert outcome == 1
-    assert collapsed == prepare(0, Basis.RECTILINEAR)
+def test_measure_sites_consumes_one_uniform_per_site_in_order():
+    sites = np.full((2, 3), site(Basis.DIAGONAL, 0), dtype=np.uint8)
+    positions = np.array([[0, 2], [1, 2]])
+    uniforms = FixedUniforms([0.1, 0.9, 0.5, 0.2, 0.7])
+    outcomes = measure_sites(sites, positions, Basis.RECTILINEAR, uniforms)
+    assert outcomes.tolist() == [[0, 1], [1, 0]]
+    assert uniforms.values.tolist() == [0.7]
 
 
 def test_measure_sites_matches_scalar_semantics():
     # deterministic case: eigenstates measured in their own bases
-    amps = EIGENSTATES[[0, 0, 1, 1], [0, 1, 0, 1]].copy()
-    outcomes = measure_sites(amps, np.arange(4), np.array([0, 0, 1, 1]), rng_for(4))
+    sites = np.array([site(0, 0), site(0, 1), site(1, 0), site(1, 1)], dtype=np.uint8)
+    before = sites.copy()
+    outcomes = measure_sites(sites, np.arange(4), np.array([0, 0, 1, 1]), rng_for(4))
     assert outcomes.tolist() == [0, 1, 0, 1]
-    assert np.array_equal(amps, EIGENSTATES[[0, 0, 1, 1], [0, 1, 0, 1]])
+    assert np.array_equal(sites, before)
 
 
 def test_measure_sites_collapses_in_place():
-    amps = np.tile(EIGENSTATES[Basis.DIAGONAL, 0], (3, 1))
-    outcomes = measure_sites(amps, np.array([1]), Basis.RECTILINEAR, rng_for(5))
-    expected = EIGENSTATES[Basis.RECTILINEAR, outcomes[0]]
-    assert np.array_equal(amps[1], expected)
-    assert np.array_equal(amps[0], EIGENSTATES[Basis.DIAGONAL, 0])
-
-
-def test_measure_sites_readout_flip_is_classical():
-    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-    amps = EIGENSTATES[np.ones(4, dtype=np.intp), bits].copy()
-    reported = measure_sites(
-        amps, np.arange(4), Basis.DIAGONAL, rng_for(6), flip_probability=1.0
-    )
-    assert np.array_equal(reported, bits ^ 1)
-    # the collapse tracked the physical outcomes, so a clean re-measurement
-    # recovers the original values
-    again = measure_sites(amps, np.arange(4), Basis.DIAGONAL, rng_for(7))
-    assert np.array_equal(again, bits)
+    sites = np.full(3, site(Basis.DIAGONAL, 0), dtype=np.uint8)
+    outcomes = measure_sites(sites, np.array([1]), Basis.RECTILINEAR, rng_for(5))
+    assert sites[1] == site(Basis.RECTILINEAR, outcomes[0])
+    assert sites[0] == sites[2] == site(Basis.DIAGONAL, 0)
