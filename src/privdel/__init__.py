@@ -46,8 +46,6 @@ from .parties import (
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
-    FixedMessage,
-    UniformMessage,
     run_cert,
     run_discr,
     stream_rng,

@@ -1,12 +1,14 @@
-"""Vectorized Monte-Carlo kernels for the certification and discrimination games.
+"""Vectorized Monte-Carlo kernel for the certification and discrimination games.
 
 Trials are simulated in batches: a (t, m+n) uint8 site array, one axis
-for the trial and one for the position. The measurement rule is shared
-with the per-instance path through `qubit.measure_sites` /
-`qubit.measure_all_sites`, so the physics has a single implementation;
-only the plumbing (key sampling, placement, accept logic) is written in
-batch form here. Semantics per trial slice are identical to running
-`parties` step by step, which the test suite checks.
+for the trial and one for the position. Every protocol step has one
+implementation shared with the per-instance API: traps come from
+`encoding.uniform_subsets`, attacks from the strategy's own `sites`,
+measurements from `qubit.measure_sites` / `qubit.measure_all_sites` and
+guesses from `parties.guess_legit`. Only trap placement and the trap
+check are written in batch form here. A batch of t=1 consumes its stream
+exactly as one step-by-step run of `parties` does, which the test suite
+checks run by run.
 """
 
 from __future__ import annotations
@@ -15,15 +17,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .encoding import uniform_subsets
+from .parties import AdversaryStrategy, Task, guess_legit
 from .qubit import Basis, measure_all_sites, measure_sites
-from .parties import (
-    Custom,
-    FirstBit,
-    NoOp,
-    PositionChoice,
-    RectilinearSample,
-    Task,
-)
 
 
 class BatchTally(NamedTuple):
@@ -32,63 +28,13 @@ class BatchTally(NamedTuple):
     correct_accepted: int
 
 
-def _uniform_subsets(t: int, total: int, size: int, rng: np.random.Generator):
-    """(t, size) row-sorted uniform subsets of range(total), plus complements.
-
-    The `size` smallest of `total` iid uniforms are a uniform subset by
-    exchangeability.
-    """
-    keys = rng.random((t, total))
-    order = np.argpartition(keys, size - 1, axis=1) if 0 < size < total else None
-    if size == 0:
-        picked = np.empty((t, 0), dtype=np.intp)
-        rest = np.broadcast_to(np.arange(total, dtype=np.intp), (t, total))
-    elif size == total:
-        picked = np.broadcast_to(np.arange(total, dtype=np.intp), (t, total))
-        rest = np.empty((t, 0), dtype=np.intp)
-    else:
-        picked = np.sort(order[:, :size], axis=1).astype(np.intp, copy=False)
-        rest = np.sort(order[:, size:], axis=1).astype(np.intp, copy=False)
-    return picked, rest
-
-
-def _attack_positions(
-    strategy, t: int, total: int, rng: np.random.Generator
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Batched (t, k) attack positions and bases; (None, None) for no attack."""
-    if isinstance(strategy, NoOp):
-        return None, None
-    if isinstance(strategy, FirstBit):
-        pos = np.zeros((t, 1), dtype=np.intp)
-        return pos, np.zeros((t, 1), dtype=np.uint8)
-    if isinstance(strategy, RectilinearSample):
-        r = strategy.r
-        if r > total:
-            raise ValueError(f"r={r} exceeds state length {total}")
-        if r == 0:
-            return None, None
-        if strategy.position_choice is PositionChoice.PREFIX:
-            pos = np.broadcast_to(np.arange(r, dtype=np.intp), (t, r))
-        else:
-            pos, _ = _uniform_subsets(t, total, r, rng)
-        return pos, np.zeros((t, r), dtype=np.uint8)
-    if isinstance(strategy, Custom):
-        if strategy.positions.size and strategy.positions[-1] >= total:
-            raise ValueError("custom position out of range")
-        pos = np.broadcast_to(strategy.positions, (t, strategy.positions.size))
-        bas = np.broadcast_to(strategy.bases, (t, strategy.bases.size))
-        return pos, bas
-    raise TypeError(f"unknown adversary strategy: {strategy!r}")
-
-
 def run_batch(
     m: int,
     n: int,
     task: Task,
-    adversary,
+    adversary: AdversaryStrategy,
     t: int,
     rng: np.random.Generator,
-    fixed_message: Optional[np.ndarray] = None,
     legit: Optional[np.ndarray] = None,
 ) -> BatchTally:
     """Simulate t independent protocol runs off one random stream.
@@ -105,27 +51,23 @@ def run_batch(
         is_legit = rng.integers(0, 2, t, dtype=np.uint8).astype(bool)
         messages = rng.integers(0, 2, (t, m), dtype=np.uint8)
         messages[is_legit] = legit
-    elif fixed_message is not None:
-        messages = np.broadcast_to(fixed_message, (t, m))
     else:
         messages = rng.integers(0, 2, (t, m), dtype=np.uint8)
 
-    traps, rest = _uniform_subsets(t, total, n, rng)
+    traps = uniform_subsets(t, total, n, rng)
     trap_values = rng.integers(0, 2, (t, n), dtype=np.uint8)
 
+    # masks fill row-major: each row's traps in sorted order, as in
+    # trap_values, and its other sites in position order, as in messages
+    trap_mask = np.zeros((t, total), dtype=bool)
+    np.put_along_axis(trap_mask, traps, True, axis=1)
     sites = np.empty((t, total), dtype=np.uint8)
-    np.put_along_axis(sites, traps, 2 * Basis.DIAGONAL + trap_values, axis=1)
-    np.put_along_axis(sites, rest, messages, axis=1)
+    sites[trap_mask] = (2 * Basis.DIAGONAL + trap_values).ravel()
+    sites[~trap_mask] = messages.ravel()
 
-    attack_pos, attack_bases = _attack_positions(adversary, t, total, rng)
-    saw_zero = None
-    outcome_zero = None
-    if attack_pos is not None:
-        outcomes = measure_sites(sites, attack_pos, attack_bases, rng)
-        if legit is not None:
-            hit = (attack_pos == 0) & (attack_bases == Basis.RECTILINEAR)
-            saw_zero = hit.any(axis=1)
-            outcome_zero = (outcomes * hit).sum(axis=1)
+    attack = adversary.sites(t, total, rng)
+    if attack is not None:
+        outcomes = measure_sites(sites, *attack, rng)
 
     if task is Task.STORAGE:
         checks = measure_sites(sites, traps, Basis.DIAGONAL, rng)
@@ -137,12 +79,10 @@ def run_batch(
     if legit is None:
         return BatchTally(int(accepted.sum()), 0, 0)
 
-    coins = rng.integers(0, 2, t, dtype=np.uint8).astype(bool)
-    if saw_zero is None:
-        guess_legit = coins
-    else:
-        guess_legit = np.where(saw_zero, outcome_zero == int(legit[0]), coins)
-    correct = guess_legit == is_legit
+    if attack is None:
+        attack = (np.empty((t, 0), dtype=np.intp), np.empty((t, 0), dtype=np.uint8))
+        outcomes = attack[1]
+    correct = guess_legit(*attack, outcomes, int(legit[0]), rng) == is_legit
     return BatchTally(
         int(accepted.sum()),
         int(correct.sum()),

@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import parties
-
 LN2 = math.log(2.0)
 
 
@@ -158,17 +156,11 @@ def firstbit_conditional_success(m: int, n: int) -> float:
 def analytic_cert_probability(m, n, strategy) -> float | None:
     """Exact acceptance probability for a strategy, when a closed form exists.
 
-    Covers no-op, rectilinear sampling (any position choice made
-    independently of the key gives the same hypergeometric overlap law) and
-    the first-bit probe. Returns None for key-dependent custom strategies.
+    The strategy supplies its own closed form (`analytic_cert`): no-op,
+    rectilinear sampling and the first-bit probe have one; key-dependent
+    custom strategies return None.
     """
-    if isinstance(strategy, parties.NoOp):
-        return 1.0
-    if isinstance(strategy, parties.RectilinearSample):
-        return cert_exact(m, n, strategy.r)
-    if isinstance(strategy, parties.FirstBit):
-        return firstbit_cert(m, n)
-    return None
+    return strategy.analytic_cert(m, n)
 
 
 BOUNDS_TABLE_COLUMNS = (

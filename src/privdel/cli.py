@@ -488,7 +488,7 @@ def _run_check(argv: Sequence[str]) -> int:
     try:
         results = acceptance.run_all(args.only)
     except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
+        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -565,6 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
+    # each command reports flag errors against its own usage and prog
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -582,13 +585,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--check" in argv:
         return _run_check(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.command_parser
     try:
         return _COMMANDS[args.command](parser, args)
     except (ValueError, OSError) as exc:
         # domain errors from bad flag values or unusable files: exit 2, no traceback
-        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

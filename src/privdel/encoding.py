@@ -4,7 +4,9 @@ The sender hides n diagonal-basis trap bits at a uniformly random set of
 positions among the m rectilinear-basis message bits. The encoded state
 holds one uint8 site, ``2*basis + bit``, per position (see `qubit`). The
 secret key is the trap positions plus the trap values; its length in
-bits is n + log2(C(m+n, n)).
+bits is n + log2(C(m+n, n)). `uniform_subsets` is the one sampler of
+position sets: keys, the batched engine's traps and sampled attack
+positions all come from it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ def random_message(m: int, rng: np.random.Generator) -> Message:
     if m < 1:
         raise ValueError("message length must be at least 1")
     return rng.integers(0, 2, m, dtype=np.uint8)
+
+
+def uniform_subsets(
+    t: int, total: int, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(t, k) row-sorted uniform k-subsets of range(total).
+
+    Row i is the first k entries of a uniform shuffle, sorted: the same
+    draws as the i-th of t successive ``rng.permutation(total)`` calls.
+    """
+    rows = np.empty((t, total), dtype=np.intp)
+    rows[:] = np.arange(total)
+    rng.permuted(rows, axis=1, out=rows)
+    return np.sort(rows[:, :k], axis=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,16 +109,15 @@ class EncodedState:
 def generate_key(m: int, n: int, rng: np.random.Generator) -> SecretKey:
     """Draw a fresh secret key: a uniform n-subset of positions plus n random bits.
 
-    All C(m+n, n) position sets are equiprobable (the positions are the
-    first n entries of a uniform shuffle, then sorted). Rejects m = 0 and
-    n = 0, which degenerate the protocol.
+    All C(m+n, n) position sets are equiprobable (one row of
+    `uniform_subsets`). Rejects m = 0 and n = 0, which degenerate the
+    protocol.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    total = m + n
-    positions = np.sort(rng.permutation(total)[:n])
+    positions = uniform_subsets(1, m + n, n, rng)[0]
     values = rng.integers(0, 2, n, dtype=np.uint8)
-    return SecretKey(total, positions.astype(np.intp), values)
+    return SecretKey(m + n, positions, values)
 
 
 class KeyLength(NamedTuple):

@@ -15,22 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import bounds
 from ._engine import BatchTally, run_batch
 from .encoding import as_bits
-from .parties import (
-    AdversaryStrategy,
-    Custom,
-    FirstBit,
-    NoOp,
-    RectilinearSample,
-    Task,
-    adversary_label,
-)
+from .parties import AdversaryStrategy, NoOp, Task, adversary_label
 
 #: Trials per derived random stream. Fixed so results do not depend on
 #: scheduling; changing it changes the streams and therefore the samples.
@@ -75,25 +67,6 @@ def runs_test_pvalue(bits) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True, slots=True)
-class FixedMessage:
-    bits: str
-
-    def realize(self, m: int) -> np.ndarray:
-        arr = as_bits(self.bits)
-        if arr.size != m:
-            raise ValueError(f"fixed message has length {arr.size}, expected {m}")
-        return arr
-
-
-@dataclass(frozen=True, slots=True)
-class UniformMessage:
-    pass
-
-
-MessageSource = Union[FixedMessage, UniformMessage]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     m: int
@@ -102,15 +75,12 @@ class ExperimentConfig:
     adversary: AdversaryStrategy = NoOp()
     trials: int = 10_000
     seed: int = 0
-    message_source: MessageSource = UniformMessage()
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if isinstance(self.message_source, FixedMessage):
-            self.message_source.realize(self.m)
 
 
 @dataclass(frozen=True)
@@ -141,31 +111,14 @@ class ExperimentReport:
 
 
 def _iter_batches(config: ExperimentConfig, legit: Optional[np.ndarray]) -> BatchTally:
-    fixed = None
-    if isinstance(config.message_source, FixedMessage):
-        fixed = config.message_source.realize(config.m)
-    accepted = correct = correct_accepted = 0
-    done = 0
-    batch_index = 0
-    while done < config.trials:
-        t = min(BATCH_TRIALS, config.trials - done)
-        rng = stream_rng(config.seed, batch_index)
-        tally = run_batch(
-            config.m,
-            config.n,
-            config.task,
-            config.adversary,
-            t,
-            rng,
-            fixed_message=fixed,
-            legit=legit,
+    tallies = []
+    for index, start in enumerate(range(0, config.trials, BATCH_TRIALS)):
+        t = min(BATCH_TRIALS, config.trials - start)
+        rng = stream_rng(config.seed, index)
+        tallies.append(
+            run_batch(config.m, config.n, config.task, config.adversary, t, rng, legit)
         )
-        accepted += tally.accepted
-        correct += tally.correct
-        correct_accepted += tally.correct_accepted
-        done += t
-        batch_index += 1
-    return BatchTally(accepted, correct, correct_accepted)
+    return BatchTally(*map(sum, zip(*tallies)))
 
 
 def run_cert(config: ExperimentConfig) -> ExperimentReport:
@@ -204,16 +157,11 @@ def run_discr(config: ExperimentConfig, legit) -> ExperimentReport:
         conditional = math.nan
         halfwidth = math.nan
         product = math.nan
-    analytic = None
-    if isinstance(config.adversary, FirstBit):
-        analytic = bounds.firstbit_conditional_success(config.m, config.n)
-    elif isinstance(config.adversary, NoOp):
-        analytic = 0.5
     return ExperimentReport(
         estimate=conditional,
         trials=config.trials,
         ci95_halfwidth=halfwidth,
-        analytic_reference=analytic,
+        analytic_reference=config.adversary.analytic_discr(config.m, config.n),
         conditioned_on="CERT",
         cert_estimate=cert_rate,
         unconditioned_estimate=uncond,
@@ -270,16 +218,6 @@ REPORT_COLUMNS = (
 )
 
 
-def attacked_count(strategy: AdversaryStrategy) -> int:
-    if isinstance(strategy, RectilinearSample):
-        return strategy.r
-    if isinstance(strategy, FirstBit):
-        return 1
-    if isinstance(strategy, Custom):
-        return int(strategy.positions.size)
-    return 0
-
-
 def report_row(config: ExperimentConfig, report: ExperimentReport) -> dict:
     """Self-describing row: full parameter set plus the report values."""
     return {
@@ -287,7 +225,7 @@ def report_row(config: ExperimentConfig, report: ExperimentReport) -> dict:
         "n": config.n,
         "task": config.task.value,
         "adversary": adversary_label(config.adversary),
-        "r": attacked_count(config.adversary),
+        "r": config.adversary.attacked,
         "trials": report.trials,
         "estimate": report.estimate,
         "ci95": report.ci95_halfwidth,

@@ -7,6 +7,11 @@ eigenstate), the prover produces a certificate, and the verifier checks
 the traps. In the storage variant the certificate is the returned state;
 in the erasure variant it is the public announcement of a full
 diagonal-basis measurement.
+
+These functions run one instance; `_engine.run_batch` runs t of them at
+once through the same pieces: each adversary strategy draws its own
+attacked sites, and `guess_legit` is the one guessing rule. One run here
+consumes its stream exactly as a batch of t=1 does.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from . import bounds
 from .encoding import (
     EncodedState,
     Message,
@@ -24,6 +30,7 @@ from .encoding import (
     as_bits,
     bits_to_string,
     decode_non_trap,
+    uniform_subsets,
 )
 from .qubit import Basis, measure_all_sites, measure_sites
 
@@ -43,11 +50,30 @@ class PositionChoice(Enum):
 
 # --------------------------------------------------------------------------
 # adversary strategies
+#
+# A strategy is the one place that knows what it attacks: `sites(t, total,
+# rng)` draws (t, k) row-sorted positions and their bases for t runs, or
+# returns None when nothing is attacked. It also carries its report `label`,
+# its `attacked` count and its closed-form references, where known.
+
+AttackSites = Optional[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, slots=True)
 class NoOp:
     """Touch nothing."""
+
+    label = "noop"
+    attacked = 0
+
+    def sites(self, t: int, total: int, rng: np.random.Generator) -> AttackSites:
+        return None
+
+    def analytic_cert(self, m: int, n: int) -> Optional[float]:
+        return 1.0
+
+    def analytic_discr(self, m: int, n: int) -> Optional[float]:
+        return 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,10 +92,49 @@ class RectilinearSample:
         if self.r < 0:
             raise ValueError("r must be non-negative")
 
+    @property
+    def label(self) -> str:
+        return f"sample(r={self.r},{self.position_choice.value})"
+
+    @property
+    def attacked(self) -> int:
+        return self.r
+
+    def sites(self, t: int, total: int, rng: np.random.Generator) -> AttackSites:
+        if self.r > total:
+            raise ValueError(f"r={self.r} exceeds state length {total}")
+        if self.r == 0:
+            return None
+        if self.position_choice is PositionChoice.PREFIX:
+            positions = np.arange(self.r, dtype=np.intp)[None].repeat(t, axis=0)
+        else:
+            positions = uniform_subsets(t, total, self.r, rng)
+        return positions, np.zeros((t, self.r), dtype=np.uint8)
+
+    def analytic_cert(self, m: int, n: int) -> Optional[float]:
+        # any position choice made independently of the key gives the same
+        # hypergeometric overlap law
+        return bounds.cert_exact(m, n, self.r)
+
+    def analytic_discr(self, m: int, n: int) -> Optional[float]:
+        return None
+
 
 @dataclass(frozen=True, slots=True)
 class FirstBit:
     """Measure only position 0 in the rectilinear basis."""
+
+    label = "firstbit"
+    attacked = 1
+
+    def sites(self, t: int, total: int, rng: np.random.Generator) -> AttackSites:
+        return np.zeros((t, 1), dtype=np.intp), np.zeros((t, 1), dtype=np.uint8)
+
+    def analytic_cert(self, m: int, n: int) -> Optional[float]:
+        return bounds.firstbit_cert(m, n)
+
+    def analytic_discr(self, m: int, n: int) -> Optional[float]:
+        return bounds.firstbit_conditional_success(m, n)
 
 
 @dataclass(slots=True, eq=False)
@@ -78,7 +143,8 @@ class Custom:
 
     Positions not listed are skipped. Only the rectilinear and diagonal
     bases are allowed. Used for planted diagnostics (for example measuring
-    exactly the non-trap positions).
+    exactly the non-trap positions). Its acceptance law depends on the key,
+    so it has no closed-form references.
     """
 
     positions: np.ndarray
@@ -97,13 +163,33 @@ class Custom:
         self.positions = pos[order]
         self.bases = b[order]
 
+    @property
+    def label(self) -> str:
+        return f"custom({self.positions.size})"
+
+    @property
+    def attacked(self) -> int:
+        return self.positions.size
+
+    def sites(self, t: int, total: int, rng: np.random.Generator) -> AttackSites:
+        if self.positions.size and self.positions[-1] >= total:
+            raise ValueError("custom position out of range")
+        positions = self.positions[None].repeat(t, axis=0)
+        return positions, self.bases[None].repeat(t, axis=0)
+
+    def analytic_cert(self, m: int, n: int) -> Optional[float]:
+        return None
+
+    def analytic_discr(self, m: int, n: int) -> Optional[float]:
+        return None
+
 
 AdversaryStrategy = Union[NoOp, RectilinearSample, FirstBit, Custom]
 
 
 @dataclass(slots=True)
 class EavesdropRecord:
-    """Everything the adversary learned: positions, bases and outcomes."""
+    """Everything the adversary learned: positions (increasing), bases and outcomes."""
 
     measured_positions: np.ndarray
     measured_bases: np.ndarray
@@ -111,16 +197,6 @@ class EavesdropRecord:
 
     def __len__(self) -> int:
         return self.measured_positions.size
-
-    def rectilinear_outcome_at(self, position: int) -> Optional[int]:
-        """The recorded rectilinear outcome at `position`, if one exists."""
-        hit = np.flatnonzero(
-            (self.measured_positions == position)
-            & (self.measured_bases == Basis.RECTILINEAR)
-        )
-        if hit.size == 0:
-            return None
-        return int(self.outcomes[hit[0]])
 
 
 _EMPTY_RECORD_ARGS = (
@@ -130,31 +206,6 @@ _EMPTY_RECORD_ARGS = (
 )
 
 
-def attack_sites(
-    strategy: AdversaryStrategy, total_length: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve a strategy to (positions, bases) for a state of the given length."""
-    if isinstance(strategy, NoOp):
-        return _EMPTY_RECORD_ARGS[0], _EMPTY_RECORD_ARGS[1]
-    if isinstance(strategy, FirstBit):
-        if total_length < 1:
-            raise ValueError("state is empty")
-        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.uint8)
-    if isinstance(strategy, RectilinearSample):
-        if strategy.r > total_length:
-            raise ValueError(f"r={strategy.r} exceeds state length {total_length}")
-        if strategy.position_choice is PositionChoice.PREFIX:
-            pos = np.arange(strategy.r, dtype=np.intp)
-        else:
-            pos = np.sort(rng.permutation(total_length)[: strategy.r]).astype(np.intp)
-        return pos, np.zeros(strategy.r, dtype=np.uint8)
-    if isinstance(strategy, Custom):
-        if strategy.positions.size and strategy.positions[-1] >= total_length:
-            raise ValueError("custom position out of range")
-        return strategy.positions, strategy.bases
-    raise TypeError(f"unknown adversary strategy: {strategy!r}")
-
-
 def adversary_intervene(
     state: EncodedState, strategy: AdversaryStrategy, rng: np.random.Generator
 ) -> tuple[EncodedState, EavesdropRecord]:
@@ -162,11 +213,14 @@ def adversary_intervene(
 
     Each attacked position is measured once in the strategy's basis; the
     collapse is the resent state. Untouched positions pass through
-    unchanged. Returns the (same) state and the adversary's record.
+    unchanged. Returns the (same) state and the adversary's record. The
+    attack is row 0 of the strategy's t=1 draw, so a run consumes the
+    same random stream as one trial of the batched engine.
     """
-    positions, bases = attack_sites(strategy, len(state), rng)
-    if positions.size == 0:
+    attack = strategy.sites(1, len(state), rng)
+    if attack is None:
         return state, EavesdropRecord(*_EMPTY_RECORD_ARGS)
+    positions, bases = attack[0][0], attack[1][0]
     outcomes = measure_sites(state.sites, positions, bases, rng)
     return state, EavesdropRecord(positions, bases, outcomes)
 
@@ -269,35 +323,53 @@ def verify(
 # --------------------------------------------------------------------------
 # discrimination guessing
 
+def guess_legit(
+    positions: np.ndarray,
+    bases: np.ndarray,
+    outcomes: np.ndarray,
+    first_bit: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The guessing rule over a trailing attack axis, one guess per leading index.
+
+    A run that measured position 0 in the rectilinear basis guesses
+    "legitimate" iff that outcome equals the candidate's first bit; any
+    other run flips a fair coin. One uint8 coin per run is drawn, and only
+    when some run needs one. Positions increase along the attack axis, as
+    every strategy draws them, so position 0 can only be the first entry.
+    """
+    # size None draws the one coin of a single run as a scalar: same stream
+    shape = positions.shape[:-1] or None
+    if positions.shape[-1] == 0:
+        return rng.integers(0, 2, shape, dtype=np.uint8).astype(bool)
+    saw_zero = (positions[..., 0] == 0) & (bases[..., 0] == int(Basis.RECTILINEAR))
+    guess = outcomes[..., 0] == first_bit
+    if saw_zero.all():
+        return guess
+    coins = rng.integers(0, 2, shape, dtype=np.uint8).astype(bool)
+    return np.where(saw_zero, guess, coins)
+
+
 def discr_guess(
     record: EavesdropRecord, legit: Message, rng: np.random.Generator
 ) -> bool:
-    """Guess whether the run carried the known candidate message.
-
-    Rule: if position 0 was measured in the rectilinear basis, guess
-    "legitimate" iff the recorded outcome equals the candidate's first bit,
-    otherwise guess "dummy". Without that measurement the record carries no
-    usable information here and the guess is a fair coin.
-    """
-    outcome = record.rectilinear_outcome_at(0)
-    if outcome is None:
-        return bool(rng.integers(0, 2))
-    return outcome == int(legit[0])
+    """Guess whether the run carried the known candidate message (`guess_legit`)."""
+    return bool(
+        guess_legit(
+            record.measured_positions,
+            record.measured_bases,
+            record.outcomes,
+            int(legit[0]),
+            rng,
+        )
+    )
 
 
 # --------------------------------------------------------------------------
 # transcript serialization
 
 def adversary_label(strategy: AdversaryStrategy) -> str:
-    if isinstance(strategy, NoOp):
-        return "noop"
-    if isinstance(strategy, RectilinearSample):
-        return f"sample(r={strategy.r},{strategy.position_choice.value})"
-    if isinstance(strategy, FirstBit):
-        return "firstbit"
-    if isinstance(strategy, Custom):
-        return f"custom({strategy.positions.size})"
-    return repr(strategy)
+    return strategy.label
 
 
 def record_to_json(record: EavesdropRecord) -> dict:

@@ -88,7 +88,11 @@ def assert_exits_two(args, capsys):
     assert err.value.code == 2, args
     stderr = capsys.readouterr().err
     assert "Traceback" not in stderr
-    assert re.match(r"privdel( \S+)?: error: ", stderr.splitlines()[-1]), stderr
+    # the subcommand's own prog, on the usage line and the error line alike
+    prog = f"privdel {args[0]}"
+    if stderr.startswith("usage: "):
+        assert stderr.startswith(f"usage: {prog} "), stderr
+    assert re.match(rf"{re.escape(prog)}: error: ", stderr.splitlines()[-1]), stderr
     return stderr
 
 
@@ -276,5 +280,8 @@ def test_check_single_red_criterion(capsys):
 
 
 def test_check_unknown_criterion(capsys):
-    code, _ = run_cli(["--check", "--only", "nonsense"], capsys)
+    code = main(["--check", "--only", "nonsense"])
     assert code == 2
+    assert capsys.readouterr().err == (
+        "privdel --check: error: no criteria match ['nonsense']\n"
+    )

@@ -9,10 +9,10 @@ from privdel.bounds import (
     firstbit_cert,
     firstbit_conditional_success,
 )
+from privdel._engine import run_batch
 from privdel.encoding import encode, generate_key, random_message
 from privdel.experiments import (
     ExperimentConfig,
-    FixedMessage,
     REPORT_COLUMNS,
     report_row,
     run_cert,
@@ -23,15 +23,19 @@ from privdel.experiments import (
     wilson_halfwidth,
 )
 from privdel.parties import (
+    Custom,
     FirstBit,
     HONEST,
     NoOp,
+    PositionChoice,
     RectilinearSample,
     Task,
     adversary_intervene,
+    discr_guess,
     prover_respond,
     verify,
 )
+from privdel.qubit import Basis
 
 
 def three_sigma(p, trials):
@@ -53,8 +57,6 @@ def test_config_validation():
         ExperimentConfig(m=0, n=1)
     with pytest.raises(ValueError):
         ExperimentConfig(m=1, n=1, trials=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(m=4, n=1, message_source=FixedMessage("101"))
 
 
 def test_sampling_estimate_matches_exact_law():
@@ -166,19 +168,6 @@ def test_estimate_never_exceeds_the_tail_bound():
         assert report.estimate <= hoeffding_bound(m, n, r, eps).raw + slack
 
 
-def test_fixed_message_source_is_respected():
-    report = run_cert(
-        ExperimentConfig(
-            m=4,
-            n=2,
-            trials=2_000,
-            seed=5,
-            message_source=FixedMessage("1010"),
-        )
-    )
-    assert report.estimate == 1.0
-
-
 def test_discr_noop_is_a_coin_flip():
     config = ExperimentConfig(m=20, n=5, adversary=NoOp(), trials=40_000, seed=6)
     report = run_discr(config, "0" * 20)
@@ -236,6 +225,44 @@ def test_discr_engine_agrees_with_step_by_step_runs():
         legit,
     )
     assert abs(engine.estimate - expected) <= three_sigma(expected, 60_000)
+
+
+T1_STRATEGIES = (
+    NoOp(),
+    FirstBit(),
+    RectilinearSample(0),
+    RectilinearSample(4),
+    RectilinearSample(7),
+    RectilinearSample(3, PositionChoice.PREFIX),
+    Custom([0, 2, 5], [Basis.RECTILINEAR, Basis.DIAGONAL, Basis.RECTILINEAR]),
+)
+
+
+@pytest.mark.parametrize("case", ["storage", "erasure", "discr"])
+@pytest.mark.parametrize("adversary", T1_STRATEGIES, ids=lambda a: a.label)
+def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
+    # a one-trial batch draws exactly what one step-by-step run draws, so
+    # the two agree run by run, not only in law; the discrimination case
+    # uses erasure, whose verify draws nothing before the guess coin
+    m, n, runs = 5, 2, 2_000
+    task = Task.STORAGE if case == "storage" else Task.ERASURE
+    legit = np.array([1, 0, 1, 1, 0], dtype=np.uint8) if case == "discr" else None
+    for i in range(runs):
+        rng = stream_rng(505, i)
+        if legit is not None:
+            is_legit = bool(rng.integers(0, 2, dtype=np.uint8))
+        message = random_message(m, rng)
+        if legit is not None and is_legit:
+            message = legit
+        key = generate_key(m, n, rng)
+        state, record = adversary_intervene(encode(message, key), adversary, rng)
+        cert = prover_respond(state, HONEST, task, rng)
+        accepted = verify(cert, key, rng).accepted
+        batch = run_batch(m, n, task, adversary, 1, stream_rng(505, i), legit=legit)
+        assert batch.accepted == accepted, i
+        if legit is not None:
+            correct = discr_guess(record, legit, rng) == is_legit
+            assert batch.correct == correct, i
 
 
 def test_discr_degenerate_when_nothing_is_accepted():
@@ -301,19 +328,32 @@ def test_sweep_rejects_empty_input():
 
 
 def test_report_row_echoes_the_parameter_set():
-    config = ExperimentConfig(
-        m=12, n=3, adversary=RectilinearSample(5), trials=1_000, seed=17
+    m, n = 12, 3
+    # (strategy, adversary, r, analytic, discrimination reference)
+    cases = (
+        (NoOp(), "noop", 0, 1.0, 0.5),
+        (RectilinearSample(5), "sample(r=5,uniform)", 5, cert_exact(m, n, 5), None),
+        (
+            FirstBit(),
+            "firstbit",
+            1,
+            firstbit_cert(m, n),
+            firstbit_conditional_success(m, n),
+        ),
+        (Custom([1, 4, 9], Basis.RECTILINEAR), "custom(3)", 3, None, None),
     )
-    row = report_row(config, run_cert(config))
-    assert tuple(row) == REPORT_COLUMNS
-    assert (row["m"], row["n"], row["task"], row["r"], row["seed"]) == (
-        12,
-        3,
-        "storage",
-        5,
-        17,
-    )
-    assert row["trials"] == 1_000
+    for adversary, label, r, analytic, discr_reference in cases:
+        config = ExperimentConfig(
+            m=m, n=n, adversary=adversary, trials=1_000, seed=17
+        )
+        row = report_row(config, run_cert(config))
+        assert tuple(row) == REPORT_COLUMNS
+        assert (row["m"], row["n"], row["task"], row["seed"]) == (m, n, "storage", 17)
+        assert row["trials"] == 1_000
+        assert (row["adversary"], row["r"]) == (label, r)
+        assert row["analytic"] == analytic  # bit for bit, or both None
+        discr = run_discr(config, "0" * m)
+        assert discr.analytic_reference == discr_reference
 
 
 def test_wilson_halfwidth_reference_values():
