@@ -53,13 +53,52 @@ def uniform_subsets(
 ) -> np.ndarray:
     """(t, k) row-sorted uniform k-subsets of range(total).
 
-    Row i is the first k entries of a uniform shuffle, sorted: the same
-    draws as the i-th of t successive ``rng.permutation(total)`` calls.
+    Two draws, picked from the sizes alone. A single row (t == 1), and rows
+    where k is a third of total or more, are the first k entries of a
+    uniform shuffle, sorted: the same draws as ``rng.permutation(total)``,
+    so the per-instance key stream does not depend on the choice. Other
+    batches redraw duplicates (`_redrawn_subsets`), O(k log k) per row
+    instead of O(total). Measured at t=4096 on 2 cores, shuffled vs
+    redrawn: total=1050 k=50 94 vs 5.7 ms, k=105 66 vs 21 ms, k=263 98
+    vs 70 ms, k=315 86 vs 102 ms; total=100 k=10 6.8 vs 1.4 ms, k=33 7.9
+    vs 7.0 ms, k=40 7.9 vs 9.5 ms. The crossover sits near k = total/3.
+    The redraw's fixed cost loses at t=1: 8.6 vs 28 us at (120, 20).
     """
+    if t == 1 or 3 * k >= total:
+        return _shuffled_subsets(t, total, k, rng)
+    return _redrawn_subsets(t, total, k, rng)
+
+
+def _shuffled_subsets(
+    t: int, total: int, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Row i: the first k entries of the i-th of t uniform shuffles, sorted."""
     rows = np.empty((t, total), dtype=np.intp)
     rows[:] = np.arange(total)
     rng.permuted(rows, axis=1, out=rows)
     return np.sort(rows[:, :k], axis=1)
+
+
+def _redrawn_subsets(
+    t: int, total: int, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k uniform draws per row; each surplus copy of a value is redrawn.
+
+    The redraw rule looks only at which entries are equal, never at their
+    values, so relabeling range(total) maps the process onto itself: every
+    k-subset is equally likely. Each pass sorts and checks only the rows
+    that still had a duplicate.
+    """
+    rows = rng.integers(0, total, (t, k), dtype=np.intp)
+    todo = np.arange(t)
+    while todo.size:
+        sub = np.sort(rows[todo], axis=1)
+        surplus = np.zeros(sub.shape, dtype=bool)
+        surplus[:, 1:] = sub[:, 1:] == sub[:, :-1]
+        sub[surplus] = rng.integers(0, total, np.count_nonzero(surplus))
+        rows[todo] = sub
+        todo = todo[surplus.any(axis=1)]
+    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +211,9 @@ def decode_non_trap(
     if len(state) != key.total_length:
         raise ValueError("state length does not match key")
     positions = key.non_trap_positions()
-    return measure_sites(state.sites, positions, Basis.RECTILINEAR, rng)
+    return measure_sites(
+        state.sites, positions, Basis.RECTILINEAR, rng.random(positions.shape)
+    )
 
 
 def key_to_json(key: SecretKey) -> dict:

@@ -8,10 +8,12 @@ the traps. In the storage variant the certificate is the returned state;
 in the erasure variant it is the public announcement of a full
 diagonal-basis measurement.
 
-These functions run one instance; `_engine.run_batch` runs t of them at
-once through the same pieces: each adversary strategy draws its own
-attacked sites, and `guess_legit` is the one guessing rule. One run here
-consumes its stream exactly as a batch of t=1 does.
+These functions run one instance on its whole state. `_engine.run_batch`
+runs t of them at once through the same pieces (the measurement rule in
+`qubit`, the subset sampler, each adversary strategy's own `sites` draw
+and `guess_legit`, the one guessing rule) but holds only each run's trap
+and attacked sites, so a batch agrees with these runs in law, not draw
+by draw.
 """
 
 from __future__ import annotations
@@ -214,14 +216,13 @@ def adversary_intervene(
     Each attacked position is measured once in the strategy's basis; the
     collapse is the resent state. Untouched positions pass through
     unchanged. Returns the (same) state and the adversary's record. The
-    attack is row 0 of the strategy's t=1 draw, so a run consumes the
-    same random stream as one trial of the batched engine.
+    attack is row 0 of the strategy's t=1 draw.
     """
     attack = strategy.sites(1, len(state), rng)
     if attack is None:
         return state, EavesdropRecord(*_EMPTY_RECORD_ARGS)
     positions, bases = attack[0][0], attack[1][0]
-    outcomes = measure_sites(state.sites, positions, bases, rng)
+    outcomes = measure_sites(state.sites, positions, bases, rng.random(positions.shape))
     return state, EavesdropRecord(positions, bases, outcomes)
 
 
@@ -277,7 +278,8 @@ def prover_respond(
     if isinstance(strategy, Honest):
         if task is Task.STORAGE:
             return StorageCert(state)
-        return ErasureCert(measure_all_sites(state.sites, Basis.DIAGONAL, rng))
+        sites = state.sites
+        return ErasureCert(measure_all_sites(sites, Basis.DIAGONAL, rng.random(sites.shape)))
     if isinstance(strategy, BlindErasureGuess):
         if task is not Task.ERASURE:
             raise ValueError("BlindErasureGuess only applies to the erasure task")
@@ -305,8 +307,9 @@ def verify(
         state = certificate.returned
         if len(state) != key.total_length:
             raise ValueError("certificate length does not match key")
+        positions = key.trap_positions
         outcomes = measure_sites(
-            state.sites, key.trap_positions, Basis.DIAGONAL, rng
+            state.sites, positions, Basis.DIAGONAL, rng.random(positions.shape)
         )
         if not np.array_equal(outcomes, key.trap_values):
             return VerifyResult(False, None)

@@ -9,8 +9,9 @@ coin. Either way the site collapses to the measured eigenstate.
 Superpositions other than the four eigenstates, complex phases and
 multi-qubit states are deliberately out of scope.
 
-All randomness is drawn from an injected ``numpy.random.Generator`` so
-that every run is reproducible from its seed.
+The rule draws nothing itself: each measured site comes with one uniform
+variate in [0, 1), which the caller draws from its seeded stream (or, in
+an exact enumeration, sets to a chosen branch).
 """
 
 from __future__ import annotations
@@ -57,31 +58,30 @@ def measure_sites(
     sites: np.ndarray,
     positions: np.ndarray,
     bases,
-    rng: np.random.Generator,
+    u: np.ndarray,
 ) -> np.ndarray:
     """Measure selected sites of a site array, collapsing it in place.
 
     `sites` has shape (..., N); `positions` has shape (..., k) and indexes
-    the site axis; `bases` broadcasts against `positions`. One uniform
-    variate is consumed per measured site, in array order. Returns the
-    outcomes as a uint8 array of the same shape as `positions`.
+    the site axis; `bases` broadcasts against `positions`; `u` holds one
+    uniform variate per measured site, in the shape of `positions`.
+    Returns the outcomes as a uint8 array of the same shape.
     """
     pos = np.asarray(positions, dtype=np.intp)
     b = np.broadcast_to(np.asarray(bases, dtype=np.uint8), pos.shape)
     stored = np.take_along_axis(sites, pos, axis=-1)
-    outcomes = _outcomes(stored, b, rng.random(pos.shape))
+    outcomes = _outcomes(stored, b, u)
     np.put_along_axis(sites, pos, 2 * b + outcomes, axis=-1)
     return outcomes
 
 
-def measure_all_sites(
-    sites: np.ndarray, basis: Basis, rng: np.random.Generator
-) -> np.ndarray:
+def measure_all_sites(sites: np.ndarray, basis: Basis, u: np.ndarray) -> np.ndarray:
     """Measure every site of an (..., N) site array in one basis.
 
-    Collapses in place; returns outcomes with shape (..., N). Equivalent to
+    `u` holds one uniform per site, in the shape of `sites`. Collapses in
+    place; returns outcomes with shape (..., N). Equivalent to
     `measure_sites` over all positions but avoids building an index array.
     """
-    outcomes = _outcomes(sites, int(basis), rng.random(sites.shape))
+    outcomes = _outcomes(sites, int(basis), u)
     sites[...] = 2 * int(basis) + outcomes
     return outcomes

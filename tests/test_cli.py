@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import privdel
 from privdel.cli import main
 
 
@@ -285,3 +290,18 @@ def test_check_unknown_criterion(capsys):
     assert capsys.readouterr().err == (
         "privdel --check: error: no criteria match ['nonsense']\n"
     )
+
+
+def test_python_dash_m_runs_from_a_source_tree():
+    # the directory holding the imported package, installed or not
+    paths = [str(Path(privdel.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "privdel", "keylen", "--m", "10", "--n", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("keylen m=10 n=2: exact_bits=")

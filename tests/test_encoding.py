@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from privdel import encoding
 from privdel.encoding import (
     SecretKey,
     as_bits,
@@ -18,6 +20,7 @@ from privdel.encoding import (
     key_length_bits,
     key_to_json,
     random_message,
+    uniform_subsets,
 )
 from privdel.experiments import stream_rng
 from privdel.qubit import Basis
@@ -68,6 +71,55 @@ def test_trap_marginal_matches_inclusion_probability():
     p = n / (m + n)
     sigma = math.sqrt(p * (1 - p) / trials)
     assert (np.abs(hits / trials - p) <= 3 * sigma).all()
+
+
+SUBSET_DRAWS = (
+    pytest.param(encoding._shuffled_subsets, id="shuffled"),
+    pytest.param(encoding._redrawn_subsets, id="redrawn"),
+)
+
+
+@pytest.mark.parametrize("draw", SUBSET_DRAWS)
+@pytest.mark.parametrize(
+    "t,total,k", [(1, 1, 0), (5, 9, 0), (5, 9, 9), (1, 9, 9), (64, 30, 7), (7, 1050, 105)]
+)
+def test_subset_draw_contract(draw, t, total, k):
+    rows = draw(t, total, k, stream_rng(61, total + k))
+    assert rows.shape == (t, k)
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert ((rows >= 0) & (rows < total)).all()
+    if k == total:
+        assert (rows == np.arange(total)).all()
+
+
+@pytest.mark.parametrize("draw", SUBSET_DRAWS)
+def test_subset_draw_is_uniform_over_all_3_subsets_of_6(draw):
+    trials = 60_000
+    rows = draw(trials, 6, 3, stream_rng(62, 0))
+    masks = (1 << rows).sum(axis=1)
+    subsets = [sum(1 << i for i in s) for s in itertools.combinations(range(6), 3)]
+    counts = np.bincount(masks, minlength=64)
+    assert counts.sum() == counts[subsets].sum() == trials
+    chi2 = stats.chisquare(counts[subsets])
+    assert chi2.pvalue > 0.001
+    inclusion = (rows == 0).any(axis=1).mean()
+    assert abs(inclusion - 3 / 6) <= 3 * math.sqrt(0.25 / trials)
+
+
+def test_uniform_subsets_picks_its_draw_from_the_sizes():
+    shuffled, redrawn = encoding._shuffled_subsets, encoding._redrawn_subsets
+    cases = (
+        (1, 1050, 5, shuffled),
+        (4096, 100, 50, shuffled),
+        (4096, 100, 10, redrawn),
+        (4096, 1050, 105, redrawn),
+    )
+    for t, total, k, draw in cases:
+        expected = draw(t, total, k, stream_rng(63, k))
+        assert np.array_equal(uniform_subsets(t, total, k, stream_rng(63, k)), expected)
+    # a single row is a permutation's sorted prefix, as keys were always drawn
+    row = uniform_subsets(1, 120, 20, stream_rng(64, 0))[0]
+    assert row.tolist() == sorted(stream_rng(64, 0).permutation(120)[:20].tolist())
 
 
 def test_secret_key_invariants_are_enforced():

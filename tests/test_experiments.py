@@ -1,15 +1,19 @@
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from privdel.bounds import (
     cert_exact,
+    cert_exact_fraction,
     firstbit_advantage,
     firstbit_cert,
     firstbit_conditional_success,
 )
-from privdel._engine import run_batch
+from privdel._engine import TrialInputs, kernel
 from privdel.encoding import encode, generate_key, random_message
 from privdel.experiments import (
     ExperimentConfig,
@@ -27,11 +31,10 @@ from privdel.parties import (
     FirstBit,
     HONEST,
     NoOp,
-    PositionChoice,
     RectilinearSample,
     Task,
     adversary_intervene,
-    discr_guess,
+    guess_legit,
     prover_respond,
     verify,
 )
@@ -227,42 +230,146 @@ def test_discr_engine_agrees_with_step_by_step_runs():
     assert abs(engine.estimate - expected) <= three_sigma(expected, 60_000)
 
 
-T1_STRATEGIES = (
-    NoOp(),
-    FirstBit(),
-    RectilinearSample(0),
-    RectilinearSample(4),
-    RectilinearSample(7),
-    RectilinearSample(3, PositionChoice.PREFIX),
-    Custom([0, 2, 5], [Basis.RECTILINEAR, Basis.DIAGONAL, Basis.RECTILINEAR]),
+# -- exact enumeration oracle for the engine kernel ------------------------
+#
+# At m+n <= 6 every input of the kernel can be listed: trap set, trap values,
+# attacked subset, one uniform per measured site and, where the guess reads
+# them, the legit/dummy coin and message bits. Each uniform is set to 1/4 or
+# 3/4 (the measurement rule only asks u >= 1/2, so the two branches are
+# equally likely). Counting over all of them gives the kernel's exact law,
+# which must equal the closed forms as fractions.
+
+ENUMERATED_SIZES = ((2, 1), (3, 2), (4, 2))
+
+
+def every_row(*factors):
+    """One row per combination of one row from each factor."""
+    index = np.indices([len(f) for f in factors]).reshape(len(factors), -1)
+    return [f[i] for f, i in zip(factors, index)]
+
+
+def bit_rows(width):
+    """All 2^width bit vectors."""
+    return ((np.arange(2**width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+
+
+def uniform_rows(width):
+    """Both branches of each of `width` measurements."""
+    return 0.25 + 0.5 * bit_rows(width)
+
+
+def subset_rows(total, k):
+    """All row-sorted k-subsets of range(total)."""
+    subsets = list(itertools.combinations(range(total), k))
+    return np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+
+
+@pytest.mark.parametrize("task", [Task.STORAGE, Task.ERASURE], ids=str)
+@pytest.mark.parametrize("m,n", ENUMERATED_SIZES)
+def test_kernel_acceptance_is_the_exact_law_by_enumeration(m, n, task):
+    # every r-subset is RectilinearSample(r)'s draw; bases other than all
+    # rectilinear also check that a diagonal measurement leaves a trap be,
+    # so the law depends only on the number of rectilinear measurements
+    total = m + n
+    for r in range(total + 1):
+        positions = subset_rows(total, r)
+        check_width = n if task is Task.STORAGE else n + r
+        for bases in (np.zeros(r), np.ones(r), np.arange(r) % 2):
+            bases = bases.astype(np.uint8)
+            accepted = runs = 0
+            for traps in subset_rows(total, n):
+                values, pos, attack_u, check_u = every_row(
+                    bit_rows(n), positions, uniform_rows(r), uniform_rows(check_width)
+                )
+                t = len(values)
+                inputs = TrialInputs(
+                    np.tile(traps, (t, 1)),
+                    values,
+                    pos,
+                    np.tile(bases, (t, 1)),
+                    np.zeros((t, r), dtype=np.uint8),
+                    None,
+                    attack_u,
+                    check_u,
+                )
+                ok, outcomes = kernel(m, task, inputs)
+                assert outcomes.shape == (t, r)
+                accepted += int(ok.sum())
+                runs += t
+            rectilinear = r - int(bases.sum())
+            expected = cert_exact_fraction(m, n, rectilinear)
+            assert Fraction(accepted, runs) == expected, (r, bases.tolist())
+
+
+@pytest.mark.parametrize("task", [Task.STORAGE, Task.ERASURE], ids=str)
+@pytest.mark.parametrize("m,n", ENUMERATED_SIZES)
+def test_kernel_firstbit_is_exact_by_enumeration(m, n, task):
+    # every candidate message, trap set, trap values, legit/dummy coin,
+    # dummy bit at position 0 and measurement branch
+    total = m + n
+    check_width = n if task is Task.STORAGE else n + 1
+    accepted = correct_accepted = runs = 0
+    for legit in bit_rows(m):
+        traps, values, is_legit, bits, attack_u, check_u = every_row(
+            subset_rows(total, n),
+            bit_rows(n),
+            bit_rows(1),
+            bit_rows(1),
+            uniform_rows(1),
+            uniform_rows(check_width),
+        )
+        t = len(traps)
+        inputs = TrialInputs(
+            traps,
+            values,
+            np.zeros((t, 1), dtype=np.intp),
+            np.zeros((t, 1), dtype=np.uint8),
+            bits,
+            is_legit[:, 0].astype(bool),
+            attack_u,
+            check_u,
+        )
+        ok, outcomes = kernel(m, task, inputs, legit)
+        # position 0 is always read rectilinearly, so no fallback coin: rng=None
+        guesses = guess_legit(inputs.positions, inputs.bases, outcomes, int(legit[0]), None)
+        accepted += int(ok.sum())
+        correct_accepted += int((ok & (guesses == inputs.is_legit)).sum())
+        runs += t
+    trap_share = Fraction(n, total)
+    cert = 1 - trap_share / 2
+    joint = Fraction(3, 4) - trap_share / 2
+    assert Fraction(accepted, runs) == cert
+    assert Fraction(correct_accepted, runs) == joint
+    assert float(cert) == pytest.approx(firstbit_cert(m, n), rel=1e-15)
+    assert float(joint / cert) == pytest.approx(
+        firstbit_conditional_success(m, n), rel=1e-15
+    )
+
+
+@pytest.mark.parametrize(
+    "adversary", (NoOp(), FirstBit(), RectilinearSample(32)), ids=lambda a: a.label
 )
-
-
-@pytest.mark.parametrize("case", ["storage", "erasure", "discr"])
-@pytest.mark.parametrize("adversary", T1_STRATEGIES, ids=lambda a: a.label)
-def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
-    # a one-trial batch draws exactly what one step-by-step run draws, so
-    # the two agree run by run, not only in law; the discrimination case
-    # uses erasure, whose verify draws nothing before the guess coin
-    m, n, runs = 5, 2, 2_000
-    task = Task.STORAGE if case == "storage" else Task.ERASURE
-    legit = np.array([1, 0, 1, 1, 0], dtype=np.uint8) if case == "discr" else None
-    for i in range(runs):
-        rng = stream_rng(505, i)
-        if legit is not None:
-            is_legit = bool(rng.integers(0, 2, dtype=np.uint8))
-        message = random_message(m, rng)
-        if legit is not None and is_legit:
-            message = legit
-        key = generate_key(m, n, rng)
-        state, record = adversary_intervene(encode(message, key), adversary, rng)
-        cert = prover_respond(state, HONEST, task, rng)
-        accepted = verify(cert, key, rng).accepted
-        batch = run_batch(m, n, task, adversary, 1, stream_rng(505, i), legit=legit)
-        assert batch.accepted == accepted, i
-        if legit is not None:
-            correct = discr_guess(record, legit, rng) == is_legit
-            assert batch.correct == correct, i
+def test_key_length_point_runs_in_bounded_memory(adversary):
+    # at the paper's key-length point a batch holds n + k sites per run,
+    # never m + n, so its peak allocation does not grow with m
+    trials = 4096
+    config = ExperimentConfig(
+        m=10**6,
+        n=32,
+        task=Task.ERASURE,
+        adversary=adversary,
+        trials=trials,
+        seed=2026,
+    )
+    tracemalloc.start()
+    try:
+        report = run_cert(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000_000
+    p = report.analytic_reference
+    assert abs(report.estimate - p) <= three_sigma(p, trials)
 
 
 def test_discr_degenerate_when_nothing_is_accepted():

@@ -20,18 +20,6 @@ def site(basis, bit):
     return 2 * int(basis) + bit
 
 
-class FixedUniforms:
-    """Stands in for a Generator: `random` hands out preset variates in order."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def random(self, shape):
-        size = math.prod(shape)
-        out, self.values = self.values[:size], self.values[size:]
-        return out.reshape(shape)
-
-
 def test_eigenstates_are_the_four_reference_states():
     assert EIGENSTATES[Basis.RECTILINEAR, 0] == pytest.approx([1.0, 0.0])
     assert EIGENSTATES[Basis.RECTILINEAR, 1] == pytest.approx([0.0, 1.0])
@@ -48,7 +36,7 @@ def test_outcome_law_equals_the_born_rule(state_basis, bit, measure_basis):
     grid = 1024
     uniforms = (np.arange(grid) + 0.5) / grid
     sites = np.full(grid, site(state_basis, bit), dtype=np.uint8)
-    outcomes = measure_all_sites(sites, measure_basis, FixedUniforms(uniforms))
+    outcomes = measure_all_sites(sites, measure_basis, uniforms)
     state = EIGENSTATES[state_basis, bit]
     for outcome in (0, 1):
         born = _snap_probability(float(np.dot(EIGENSTATES[measure_basis, outcome], state)) ** 2)
@@ -61,7 +49,7 @@ def test_same_basis_measurement_is_deterministic():
     for basis in Basis:
         for bit in (0, 1):
             sites = np.full(50, site(basis, bit), dtype=np.uint8)
-            outcomes = measure_all_sites(sites, basis, rng)
+            outcomes = measure_all_sites(sites, basis, rng.random(sites.shape))
             assert (outcomes == bit).all()
             assert (sites == site(basis, bit)).all()
 
@@ -70,7 +58,7 @@ def test_conjugate_measurement_is_a_fair_coin():
     # |<0|+>|^2 = 1/2, checked as an empirical frequency
     trials = 100_000
     sites = np.full(trials, site(Basis.DIAGONAL, 0), dtype=np.uint8)
-    outcomes = measure_all_sites(sites, Basis.RECTILINEAR, rng_for(1))
+    outcomes = measure_all_sites(sites, Basis.RECTILINEAR, rng_for(1).random(trials))
     assert abs(outcomes.mean() - 0.5) < 0.005
 
 
@@ -80,7 +68,7 @@ def test_cross_basis_frequencies_within_three_sigma(basis):
     other = Basis.DIAGONAL if basis is Basis.RECTILINEAR else Basis.RECTILINEAR
     for bit in (0, 1):
         sites = np.full(trials, site(basis, bit), dtype=np.uint8)
-        outcomes = measure_all_sites(sites, other, rng_for(10 + bit))
+        outcomes = measure_all_sites(sites, other, rng_for(10 + bit).random(trials))
         assert abs(outcomes.mean() - 0.5) <= 3 * 0.5 / math.sqrt(trials)
 
 
@@ -94,9 +82,9 @@ def test_cross_basis_frequencies_within_three_sigma(basis):
 def test_repeated_measurement_is_idempotent(state_basis, bit, basis, seed):
     rng = rng_for(seed)
     sites = np.array([site(state_basis, bit)], dtype=np.uint8)
-    first = measure_sites(sites, [0], basis, rng)
+    first = measure_sites(sites, [0], basis, rng.random(1))
     collapsed = sites.copy()
-    second = measure_sites(sites, [0], basis, rng)
+    second = measure_sites(sites, [0], basis, rng.random(1))
     assert second.tolist() == first.tolist()
     assert np.array_equal(sites, collapsed)
 
@@ -111,32 +99,35 @@ def test_repeated_measurement_is_idempotent(state_basis, bit, basis, seed):
 def test_collapse_preserves_normalization(state_basis, bit, basis, seed):
     # the collapsed site is the measured eigenstate, a unit vector
     sites = np.array([site(state_basis, bit)], dtype=np.uint8)
-    outcome = measure_sites(sites, [0], basis, rng_for(seed))
+    outcome = measure_sites(sites, [0], basis, rng_for(seed).random(1))
     assert sites.tolist() == [site(basis, outcome[0])]
     vector = EIGENSTATES[sites[0] >> 1, sites[0] & 1]
     assert abs(float(vector @ vector) - 1.0) <= 1e-12
 
 
 def test_measure_sites_consumes_one_uniform_per_site_in_order():
+    # uniform [i, j] decides the site at positions[i, j], nothing else
     sites = np.full((2, 3), site(Basis.DIAGONAL, 0), dtype=np.uint8)
     positions = np.array([[0, 2], [1, 2]])
-    uniforms = FixedUniforms([0.1, 0.9, 0.5, 0.2, 0.7])
+    uniforms = np.array([[0.1, 0.9], [0.5, 0.2]])
     outcomes = measure_sites(sites, positions, Basis.RECTILINEAR, uniforms)
     assert outcomes.tolist() == [[0, 1], [1, 0]]
-    assert uniforms.values.tolist() == [0.7]
+    assert sites.tolist() == [[0, 2, 1], [2, 1, 0]]
 
 
 def test_measure_sites_matches_scalar_semantics():
     # deterministic case: eigenstates measured in their own bases
     sites = np.array([site(0, 0), site(0, 1), site(1, 0), site(1, 1)], dtype=np.uint8)
     before = sites.copy()
-    outcomes = measure_sites(sites, np.arange(4), np.array([0, 0, 1, 1]), rng_for(4))
+    outcomes = measure_sites(
+        sites, np.arange(4), np.array([0, 0, 1, 1]), rng_for(4).random(4)
+    )
     assert outcomes.tolist() == [0, 1, 0, 1]
     assert np.array_equal(sites, before)
 
 
 def test_measure_sites_collapses_in_place():
     sites = np.full(3, site(Basis.DIAGONAL, 0), dtype=np.uint8)
-    outcomes = measure_sites(sites, np.array([1]), Basis.RECTILINEAR, rng_for(5))
+    outcomes = measure_sites(sites, np.array([1]), Basis.RECTILINEAR, rng_for(5).random(1))
     assert sites[1] == site(Basis.RECTILINEAR, outcomes[0])
     assert sites[0] == sites[2] == site(Basis.DIAGONAL, 0)
