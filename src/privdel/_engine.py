@@ -14,7 +14,8 @@ attacked positions, and one uniform per measurement. `kernel` maps those
 arrays to verdicts and attack outcomes through `qubit.measure_sites` /
 `qubit.measure_all_sites`, and guesses come from `parties.guess_legit`.
 The per-instance API in `parties` runs the same steps on whole states;
-it draws its stream in another order, so the two agree in law.
+it draws its stream in another order, so the two agree in law, and the
+kernel fed one such run's draws returns that run's verdict and outcomes.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ These functions run one instance on its whole state. `_engine.run_batch`
 runs t of them at once through the same pieces (the measurement rule in
 `qubit`, the subset sampler, each adversary strategy's own `sites` draw
 and `guess_legit`, the one guessing rule) but holds only each run's trap
-and attacked sites, so a batch agrees with these runs in law, not draw
-by draw.
+and attacked sites and draws its stream in another order. So a batch
+agrees with these runs in law; fed the draws of one of them, its kernel
+returns that run's verdict and attack outcomes.
 """
 
 from __future__ import annotations

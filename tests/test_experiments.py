@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import tracemalloc
@@ -31,9 +32,11 @@ from privdel.parties import (
     FirstBit,
     HONEST,
     NoOp,
+    PositionChoice,
     RectilinearSample,
     Task,
     adversary_intervene,
+    discr_guess,
     guess_legit,
     prover_respond,
     verify,
@@ -228,6 +231,72 @@ def test_discr_engine_agrees_with_step_by_step_runs():
         legit,
     )
     assert abs(engine.estimate - expected) <= three_sigma(expected, 60_000)
+
+
+T1_STRATEGIES = (
+    NoOp(),
+    FirstBit(),
+    RectilinearSample(0),
+    RectilinearSample(4),
+    RectilinearSample(7),
+    RectilinearSample(3, PositionChoice.PREFIX),
+    Custom([0, 2, 5], [Basis.RECTILINEAR, Basis.DIAGONAL, Basis.RECTILINEAR]),
+)
+
+
+@pytest.mark.parametrize("case", ["storage", "erasure", "discr"])
+@pytest.mark.parametrize("adversary", T1_STRATEGIES, ids=lambda a: a.label)
+def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
+    # a one-run kernel fed what one step-by-step run drew (its key, attack
+    # sites, message bits and measurement uniforms, replayed off copies of
+    # its stream) returns that run's verdict, attack outcomes and guess, so
+    # the engine and the per-instance API agree run by run, not only in law.
+    # A legitimate run hands the kernel the dummy's bits, which it must
+    # replace by the candidate's.
+    m, n, runs = 5, 2, 2_000
+    total = m + n
+    task = Task.STORAGE if case == "storage" else Task.ERASURE
+    legit = np.array([1, 0, 1, 1, 0], dtype=np.uint8) if case == "discr" else None
+    for i in range(runs):
+        rng = stream_rng(505, i)
+        if legit is not None:
+            is_legit = bool(rng.integers(0, 2, dtype=np.uint8))
+        dummy = random_message(m, rng)
+        key = generate_key(m, n, rng)
+        message = legit if legit is not None and is_legit else dummy
+        replay = copy.deepcopy(rng)
+        state, record = adversary_intervene(encode(message, key), adversary, rng)
+        attack = adversary.sites(1, total, replay)
+        if attack is None:
+            attack = (np.empty((1, 0), dtype=np.intp), np.empty((1, 0), dtype=np.uint8))
+        positions, bases = attack
+        attack_u = replay.random(positions.shape)
+        replay = copy.deepcopy(rng)
+        cert = prover_respond(state, HONEST, task, rng)
+        accepted = verify(cert, key, rng).accepted
+        if task is Task.STORAGE:
+            check_u = replay.random((1, n))
+        else:
+            held = np.concatenate([key.trap_positions, positions[0]])
+            check_u = replay.random(total)[held][None]
+        inputs = TrialInputs(
+            key.trap_positions[None],
+            key.trap_values[None],
+            positions,
+            bases,
+            (encode(dummy, key).sites[positions] & 1).astype(np.uint8),
+            None if legit is None else np.array([is_legit]),
+            attack_u,
+            check_u,
+        )
+        ok, outcomes = kernel(m, task, inputs, legit)
+        assert bool(ok[0]) == accepted, i
+        assert np.array_equal(outcomes[0], record.outcomes), i
+        if legit is not None:
+            coin = copy.deepcopy(rng)
+            guess = discr_guess(record, legit, rng)
+            batch_guess = guess_legit(positions, bases, outcomes, int(legit[0]), coin)
+            assert bool(batch_guess[0]) == guess, i
 
 
 # -- exact enumeration oracle for the engine kernel ------------------------
