@@ -59,12 +59,10 @@ from .bounds import (
     firstbit_conditional_success,
     hoeffding_bound,
     hypergeom_mean,
-    trap_overlap_pmf,
 )
 from .auth import (
     AuthKey,
     AuthTag,
-    OneTimeKeyLedger,
     generate_auth_key,
     tag,
     verify_tag,

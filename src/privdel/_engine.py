@@ -11,8 +11,8 @@ for it goes unused. Memory and work per run are O(n + k), whatever m is.
 input of t runs from the stream: traps from `encoding.uniform_subsets`,
 the attack from the strategy's own `sites`, message bits only at the
 attacked positions, and one uniform per measurement. `kernel` maps those
-arrays to verdicts and attack outcomes through `qubit.measure_sites` /
-`qubit.measure_all_sites`, and guesses come from `parties.guess_legit`.
+arrays to verdicts and attack outcomes through `qubit.measure_sites`,
+and guesses come from `parties.guess_legit`.
 The per-instance API in `parties` runs the same steps on whole states;
 it draws its stream in another order, so the two agree in law, and the
 kernel fed one such run's draws returns that run's verdict and outcomes.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .encoding import uniform_subsets
 from .parties import AdversaryStrategy, Task, guess_legit
-from .qubit import Basis, measure_all_sites, measure_sites
+from .qubit import Basis, measure_sites
 
 
 class BatchTally(NamedTuple):
@@ -115,15 +115,13 @@ def kernel(
         # attacked trap's column is its trap index, which `before` holds
         columns = before
         np.copyto(columns, n + np.arange(k), where=~is_trap)
-        outcomes = measure_sites(sites, columns, bases, attack_u)
+        rows = np.arange(t)[:, None]
+        outcomes = measure_sites(sites, (rows, columns), bases, attack_u)
     else:
         outcomes = np.empty((t, 0), dtype=np.uint8)
 
-    if task is Task.STORAGE:
-        trap_columns = np.broadcast_to(np.arange(n), (t, n))
-        checks = measure_sites(sites, trap_columns, Basis.DIAGONAL, check_u)
-    else:
-        checks = measure_all_sites(sites, Basis.DIAGONAL, check_u)[:, :n]
+    held = np.s_[:, :n] if task is Task.STORAGE else ...
+    checks = measure_sites(sites, held, Basis.DIAGONAL, check_u)[:, :n]
     return (checks == trap_values).all(axis=1), outcomes
 
 

@@ -46,17 +46,6 @@ def gf_mul(a: int, b: int, s: int) -> int:
     return result
 
 
-def gf_pow(a: int, e: int, s: int) -> int:
-    result = 1
-    base = a
-    while e:
-        if e & 1:
-            result = gf_mul(result, base, s)
-        base = gf_mul(base, base, s)
-        e >>= 1
-    return result
-
-
 def poly_hash(blocks, x: int, s: int) -> int:
     """Evaluate sum_i blocks[i-1] * x^i (a constant-free polynomial) at x."""
     acc = 0
@@ -132,38 +121,11 @@ def verify_tag(message, candidate: AuthTag, key: AuthKey) -> bool:
     return tag(message, key).value == candidate.value
 
 
-class KeyReuseError(RuntimeError):
-    """A one-time key was presented for a second message."""
-
-
-class OneTimeKeyLedger:
-    """Caller-owned single-use enforcement for one-time keys."""
-
-    def __init__(self) -> None:
-        self._used: set[tuple[int, int, int]] = set()
-
-    def register(self, key: AuthKey) -> None:
-        entry = (key.s, key.hash_key, key.pad)
-        if entry in self._used:
-            raise KeyReuseError("one-time authentication key used twice")
-        self._used.add(entry)
-
-
 def auth_key_to_hex(key: AuthKey) -> str:
     digits = (key.s + 3) // 4
     return f"{key.hash_key:0{digits}x}{key.pad:0{digits}x}"
 
 
-def auth_key_from_hex(text: str, s: int) -> AuthKey:
-    digits = (s + 3) // 4
-    if len(text) != 2 * digits:
-        raise ValueError("hex key has the wrong length for width s")
-    return AuthKey(s, int(text[:digits], 16), int(text[digits:], 16))
-
-
 def tag_to_hex(t: AuthTag) -> str:
     return f"{t.value:0{(t.s + 3) // 4}x}"
 
-
-def tag_from_hex(text: str, s: int) -> AuthTag:
-    return AuthTag(s, int(text, 16))

@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 LN2 = math.log(2.0)
 
 
@@ -31,28 +29,6 @@ def log_binomial(n: int, k: int) -> float:
     if k < 0 or k > n:
         return -math.inf
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def trap_overlap_pmf(m: int, n: int, r: int) -> np.ndarray:
-    """P[K = k] for k = 0..r, K the number of traps among r sampled positions.
-
-    Hypergeometric: C(n, k) C(m, r-k) / C(m+n, r), with out-of-support
-    terms exactly zero. Evaluated in exact rational arithmetic (one
-    coefficient ratio plus a term recurrence) and rounded once per entry,
-    so sums and moments are accurate to float precision.
-    """
-    _check_mnr(m, n, r)
-    pmf = np.zeros(r + 1)
-    k0 = max(0, r - m)
-    k1 = min(r, n)
-    term = Fraction(
-        math.comb(n, k0) * math.comb(m, r - k0), math.comb(m + n, r)
-    )
-    for k in range(k0, k1 + 1):
-        pmf[k] = float(term)
-        if k < k1:
-            term *= Fraction((n - k) * (r - k), (k + 1) * (m - r + k + 1))
-    return pmf
 
 
 def cert_exact(m: int, n: int, r: int) -> float:

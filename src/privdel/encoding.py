@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import LN2, log_binomial
 from .qubit import Basis, measure_sites
-
-LN2 = math.log(2.0)
 
 #: A message is an ordered sequence of bits, held as a uint8 array.
 Message = np.ndarray
@@ -175,9 +174,7 @@ def key_length_bits(m: int, n: int) -> KeyLength:
         raise ValueError("m and n must be non-negative")
     if n == 0:
         return KeyLength(0.0, 0.0)
-    log2_binom = (
-        math.lgamma(m + n + 1) - math.lgamma(n + 1) - math.lgamma(m + 1)
-    ) / LN2
+    log2_binom = log_binomial(m + n, n) / LN2
     approx = n * math.log2(m) if m >= 1 else math.nan
     return KeyLength(n + log2_binom, approx)
 

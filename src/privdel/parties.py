@@ -35,7 +35,7 @@ from .encoding import (
     decode_non_trap,
     uniform_subsets,
 )
-from .qubit import Basis, measure_all_sites, measure_sites
+from .qubit import Basis, measure_sites
 
 
 class Task(Enum):
@@ -280,7 +280,8 @@ def prover_respond(
         if task is Task.STORAGE:
             return StorageCert(state)
         sites = state.sites
-        return ErasureCert(measure_all_sites(sites, Basis.DIAGONAL, rng.random(sites.shape)))
+        u = rng.random(sites.shape)
+        return ErasureCert(measure_sites(sites, ..., Basis.DIAGONAL, u))
     if isinstance(strategy, BlindErasureGuess):
         if task is not Task.ERASURE:
             raise ValueError("BlindErasureGuess only applies to the erasure task")

@@ -54,34 +54,25 @@ def _outcomes(stored: np.ndarray, bases, u: np.ndarray) -> np.ndarray:
     return np.where(same, stored & 1, u >= 0.5).astype(np.uint8)
 
 
-def measure_sites(
-    sites: np.ndarray,
-    positions: np.ndarray,
-    bases,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Measure selected sites of a site array, collapsing it in place.
+def measure_sites(sites: np.ndarray, index, bases, u: np.ndarray) -> np.ndarray:
+    """Measure the sites ``sites[index]``, collapsing them in place.
 
-    `sites` has shape (..., N); `positions` has shape (..., k) and indexes
-    the site axis; `bases` broadcasts against `positions`; `u` holds one
-    uniform variate per measured site, in the shape of `positions`.
-    Returns the outcomes as a uint8 array of the same shape.
+    `index` is any numpy index that names each site at most once: the
+    positions of one state, ``(rows, columns)`` of a batch, a block such as
+    ``np.s_[:, :n]``, or ``...`` for every site. `bases` broadcasts against
+    ``sites[index]``, and `u` holds one uniform variate per measured site,
+    in that shape. Returns the outcomes as a uint8 array of that shape.
     """
-    pos = np.asarray(positions, dtype=np.intp)
-    b = np.broadcast_to(np.asarray(bases, dtype=np.uint8), pos.shape)
-    stored = np.take_along_axis(sites, pos, axis=-1)
-    outcomes = _outcomes(stored, b, u)
-    np.put_along_axis(sites, pos, 2 * b + outcomes, axis=-1)
+    bases = np.asarray(bases, dtype=np.uint8)
+    outcomes = _outcomes(sites[index], bases, u)
+    sites[index] = 2 * bases + outcomes
     return outcomes
 
 
 def measure_all_sites(sites: np.ndarray, basis: Basis, u: np.ndarray) -> np.ndarray:
-    """Measure every site of an (..., N) site array in one basis.
+    """`measure_sites` over every site, in one basis.
 
-    `u` holds one uniform per site, in the shape of `sites`. Collapses in
-    place; returns outcomes with shape (..., N). Equivalent to
-    `measure_sites` over all positions but avoids building an index array.
+    The package itself calls `measure_sites`; this name stays because the
+    span tracer in ``perfbench/tracer.py`` wraps it.
     """
-    outcomes = _outcomes(sites, int(basis), u)
-    sites[...] = 2 * int(basis) + outcomes
-    return outcomes
+    return measure_sites(sites, ..., basis, u)

@@ -9,22 +9,28 @@ from hypothesis import strategies as st
 from privdel.auth import (
     AuthKey,
     AuthTag,
-    KeyReuseError,
-    OneTimeKeyLedger,
     REDUCTION_POLYS,
-    auth_key_from_hex,
     auth_key_to_hex,
     generate_auth_key,
     gf_mul,
-    gf_pow,
     message_blocks,
     poly_hash,
     tag,
-    tag_from_hex,
     tag_to_hex,
     verify_tag,
 )
 from privdel.experiments import stream_rng
+
+
+def gf_pow(a, e, s):
+    """a^e in GF(2^s) by square-and-multiply: the power-sum oracle of `poly_hash`."""
+    result = 1
+    while e:
+        if e & 1:
+            result = gf_mul(result, a, s)
+        a = gf_mul(a, a, s)
+        e >>= 1
+    return result
 
 
 def test_reduction_polynomials_are_irreducible():
@@ -165,23 +171,15 @@ def test_tag_width_and_key_size_do_not_depend_on_message_length():
     assert len(auth_key_to_hex(key)) == 32  # two 64-bit field elements
 
 
-def test_key_ledger_flags_reuse():
-    rng = stream_rng(24, 0)
-    ledger = OneTimeKeyLedger()
-    key = generate_auth_key(32, rng)
-    ledger.register(key)
-    ledger.register(generate_auth_key(32, rng))
-    with pytest.raises(KeyReuseError):
-        ledger.register(key)
-
-
-def test_hex_round_trips():
-    rng = stream_rng(25, 0)
-    for s in (4, 32, 64):
-        key = generate_auth_key(s, rng)
-        assert auth_key_from_hex(auth_key_to_hex(key), s) == key
-        t = tag(np.array([1, 0, 1], dtype=np.uint8), key)
-        assert tag_from_hex(tag_to_hex(t), s) == t
+def test_hex_forms_are_zero_padded_to_the_width():
+    # the demo transcript's `auth` field: s/4 hex digits per field element
+    assert auth_key_to_hex(AuthKey(4, 0x3, 0xA)) == "3a"
+    assert tag_to_hex(AuthTag(4, 0x8)) == "8"
+    assert auth_key_to_hex(AuthKey(32, 0x1F, 0xDEADBEEF)) == "0000001f" "deadbeef"
+    assert tag_to_hex(AuthTag(32, 0xBEEF)) == "0000beef"
+    key = AuthKey(64, 0x5, 0x0123456789ABCDEF)
+    assert auth_key_to_hex(key) == "0000000000000005" "0123456789abcdef"
+    assert tag_to_hex(AuthTag(64, 0x2A)) == "000000000000002a"
 
 
 def test_auth_key_validation():

@@ -1,11 +1,9 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from privdel.bounds import (
     cert_exact,
@@ -15,7 +13,6 @@ from privdel.bounds import (
     firstbit_conditional_success,
     hoeffding_bound,
     hypergeom_mean,
-    trap_overlap_pmf,
 )
 
 HALF = Fraction(1, 2)
@@ -99,16 +96,6 @@ def test_domain_validation():
         cert_exact(-1, 5, 0)
     with pytest.raises(ValueError):
         hoeffding_bound(5, 5, 5, 0.0)
-
-
-def test_pmf_against_scipy():
-    for m, n, r in ((100, 20, 60), (50, 10, 15), (2, 1, 1), (30, 7, 30)):
-        pmf = trap_overlap_pmf(m, n, r)
-        ks = np.arange(r + 1)
-        reference = stats.hypergeom(m + n, n, r).pmf(ks)
-        assert np.allclose(pmf, reference, atol=1e-12)
-        assert abs(pmf.sum() - 1.0) <= 1e-12
-        assert abs(float(ks @ pmf) - hypergeom_mean(m, n, r)) <= 1e-12
 
 
 def test_hypergeom_mean_values():

@@ -110,7 +110,8 @@ def test_measure_sites_consumes_one_uniform_per_site_in_order():
     sites = np.full((2, 3), site(Basis.DIAGONAL, 0), dtype=np.uint8)
     positions = np.array([[0, 2], [1, 2]])
     uniforms = np.array([[0.1, 0.9], [0.5, 0.2]])
-    outcomes = measure_sites(sites, positions, Basis.RECTILINEAR, uniforms)
+    index = (np.arange(2)[:, None], positions)
+    outcomes = measure_sites(sites, index, Basis.RECTILINEAR, uniforms)
     assert outcomes.tolist() == [[0, 1], [1, 0]]
     assert sites.tolist() == [[0, 2, 1], [2, 1, 0]]
 
@@ -131,3 +132,47 @@ def test_measure_sites_collapses_in_place():
     outcomes = measure_sites(sites, np.array([1]), Basis.RECTILINEAR, rng_for(5).random(1))
     assert sites[1] == site(Basis.RECTILINEAR, outcomes[0])
     assert sites[0] == sites[2] == site(Basis.DIAGONAL, 0)
+
+
+INDEX_FORMS = {
+    # one state's positions, as a list and as an array
+    "list": ((6,), [0, 2, 5]),
+    "array": ((6,), np.array([1, 3, 4])),
+    # (rows, columns) of a batch, different columns per row
+    "rows-columns": ((3, 5), (np.arange(3)[:, None], np.array([[0, 3], [4, 1], [2, 0]]))),
+    # the engine's trap block, and every site
+    "block": ((3, 5), np.s_[:, :2]),
+    "all": ((3, 5), ...),
+}
+
+
+@pytest.mark.parametrize("form", sorted(INDEX_FORMS))
+@pytest.mark.parametrize(
+    "basis", [*Basis, "per-site"], ids=["rectilinear", "diagonal", "per-site"]
+)
+def test_measure_sites_applies_the_rule_site_by_site(form, basis):
+    shape, index = INDEX_FORMS[form]
+    rng = rng_for(7)
+    sites = rng.integers(0, 4, shape, dtype=np.uint8)
+    # the flat site id of every measured entry, in the outcomes' shape
+    ids = np.arange(sites.size).reshape(shape)[index]
+    u = rng.random(ids.shape)
+    bases = rng.integers(0, 2, ids.shape, dtype=np.uint8) if basis == "per-site" else basis
+
+    expected_sites = sites.copy().ravel()
+    expected = np.empty(ids.shape, dtype=np.uint8)
+    per_site = np.broadcast_to(np.asarray(bases), ids.shape)
+    for j in np.ndindex(ids.shape):
+        stored, b = int(expected_sites[ids[j]]), int(per_site[j])
+        expected[j] = stored & 1 if stored >> 1 == b else int(u[j] >= 0.5)
+        expected_sites[ids[j]] = 2 * b + expected[j]
+
+    measured = sites.copy()
+    outcomes = measure_sites(measured, index, bases, u)
+    assert outcomes.dtype == np.uint8
+    assert np.array_equal(outcomes, expected)
+    assert np.array_equal(measured.ravel(), expected_sites)
+    if index is Ellipsis:
+        every = sites.copy()
+        assert np.array_equal(measure_all_sites(every, bases, u), outcomes)
+        assert np.array_equal(every, measured)
