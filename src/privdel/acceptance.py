@@ -7,8 +7,10 @@ the test suite, so one command reproduces all the headline numbers.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -105,16 +107,14 @@ def enumerated_cert_fraction(m: int, n: int, r: int) -> Fraction:
     Traps sit at the first n positions (the uniform adversary choice makes
     the placement irrelevant); each r-subset contributes the product of
     per-trap survival factors, each factor itself enumerated from the
-    Born-rule geometry. Exact rational arithmetic throughout.
+    Born-rule geometry. Exact rational arithmetic throughout. Subsets come
+    sorted, so bisecting one at n counts its trap hits.
     """
     survival = _trap_survival_factor()
-    total = Fraction(0)
-    count = 0
-    for subset in itertools.combinations(range(m + n), r):
-        hits = sum(1 for p in subset if p < n)
-        total += survival**hits
-        count += 1
-    return total / count
+    subsets = itertools.combinations(range(m + n), r)
+    per_hits = Counter(bisect.bisect_left(subset, n) for subset in subsets)
+    total = sum(Fraction(count) * survival**hits for hits, count in per_hits.items())
+    return total / sum(per_hits.values())
 
 
 def check_sampling_exact_law(trials: int = 100_000) -> CriterionResult:

@@ -11,6 +11,11 @@ To block padding forgeries, the element sequence fed to the hash is the
 zero-padded message blocks followed by one extra block holding the
 original bit length, which therefore must be below 2^s. s=4 exists solely
 so the security property can be verified by exhausting the key space.
+
+A product a*b is formed one nibble of `a` at a time, most significant
+first, from `_window(b)`, the 16 carry-less products b*j for j < 16. The
+unreduced product is then folded below x^s, as x^s equals the low terms of
+the reduction polynomial. `poly_hash` builds its point's window once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 
 from .encoding import as_bits
 
-#: Irreducible reduction polynomials (with the x^s term included).
+#: Irreducible reduction polynomials (with the x^s term included). Every
+#: width is a multiple of 4, so `_mul` reads a factor in whole nibbles.
 REDUCTION_POLYS = {
     4: 0b1_0011,  # x^4 + x + 1
     32: (1 << 32) | (1 << 7) | (1 << 3) | (1 << 2) | 1,  # x^32 + x^7 + x^3 + x^2 + 1
@@ -30,27 +36,51 @@ REDUCTION_POLYS = {
 
 SUPPORTED_WIDTHS = tuple(sorted(REDUCTION_POLYS))
 
+#: Exponents e of the low terms of each reduction polynomial: x^s = sum x^e.
+_LOW_TERMS = {
+    s: tuple(e for e in range(s) if poly >> e & 1) for s, poly in REDUCTION_POLYS.items()
+}
+
+
+def _element(value, s: int) -> int:
+    """`value` as an int, checked to be an element of GF(2^s)."""
+    value = int(value)
+    if not 0 <= value < 1 << s:
+        raise ValueError(f"{value} is not an element of GF(2^{s})")
+    return value
+
+
+def _window(b: int) -> list[int]:
+    """The 16 unreduced carry-less products b*j for j < 16."""
+    table = [0] * 16
+    for j in range(1, 16):
+        table[j] = table[j >> 1] << 1 ^ (b if j & 1 else 0)
+    return table
+
+
+def _mul(a: int, window: list[int], s: int) -> int:
+    """a*b modulo the width-s reduction polynomial, b given by its window."""
+    acc = 0
+    for shift in range(s - 4, -1, -4):
+        acc = acc << 4 ^ window[a >> shift & 0xF]
+    while high := acc >> s:
+        acc &= (1 << s) - 1
+        for e in _LOW_TERMS[s]:
+            acc ^= high << e
+    return acc
+
 
 def gf_mul(a: int, b: int, s: int) -> int:
     """Carry-less multiply modulo the width-s reduction polynomial."""
-    poly = REDUCTION_POLYS[s]
-    top = 1 << s
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= poly
-    return result
+    return _mul(_element(a, s), _window(_element(b, s)), s)
 
 
 def poly_hash(blocks, x: int, s: int) -> int:
     """Evaluate sum_i blocks[i-1] * x^i (a constant-free polynomial) at x."""
+    window = _window(_element(x, s))
     acc = 0
     for block in reversed(list(blocks)):
-        acc = gf_mul(acc ^ int(block), x, s)
+        acc = _mul(acc ^ _element(block, s), window, s)
     return acc
 
 
@@ -67,14 +97,11 @@ def message_blocks(message, s: int) -> list[int]:
         raise ValueError("message must be non-empty")
     if bits.size >= (1 << s):
         raise ValueError(f"message of {bits.size} bits too long for width s={s}")
-    blocks = []
-    for start in range(0, bits.size, s):
-        chunk = bits[start : start + s]
-        value = 0
-        for bit in chunk:
-            value = (value << 1) | int(bit)
-        value <<= s - chunk.size
-        blocks.append(value)
+    # one big-endian integer, byte padding off, zero-padded to whole blocks
+    value = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
+    value <<= -bits.size % s
+    mask = (1 << s) - 1
+    blocks = [value >> shift & mask for shift in range((bits.size - 1) // s * s, -1, -s)]
     blocks.append(bits.size)
     return blocks
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from privdel import acceptance
+from privdel import acceptance, bounds
 from privdel.encoding import key_length_bits
 
 
@@ -64,3 +64,12 @@ def test_criterion(check):
         assert_key_length_red(result)
     else:
         assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_enumeration_oracle_is_the_exact_law():
+    for total in range(1, 9):
+        for n in range(total + 1):
+            for r in range(total + 1):
+                assert acceptance.enumerated_cert_fraction(
+                    total - n, n, r
+                ) == bounds.cert_exact_fraction(total - n, n, r)

@@ -22,6 +22,33 @@ from privdel.auth import (
 from privdel.experiments import stream_rng
 
 
+def schoolbook_mul(a, b, s):
+    """Bit-serial carry-less multiply with reduction per step: the oracle of `gf_mul`."""
+    poly = REDUCTION_POLYS[s]
+    top = 1 << s
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= poly
+    return result
+
+
+def loop_blocks(bits, s):
+    """Bit-by-bit field-element encoding: the oracle of `message_blocks`."""
+    blocks = []
+    for start in range(0, len(bits), s):
+        chunk = bits[start : start + s]
+        value = 0
+        for bit in chunk:
+            value = (value << 1) | int(bit)
+        blocks.append(value << (s - len(chunk)))
+    return blocks + [len(bits)]
+
+
 def gf_pow(a, e, s):
     """a^e in GF(2^s) by square-and-multiply: the power-sum oracle of `poly_hash`."""
     result = 1
@@ -54,6 +81,42 @@ def test_gf16_hand_products():
     assert gf_mul(0x1, 0xB, 4) == 0xB
 
 
+def test_gf_mul_matches_schoolbook_exhaustively_at_width_4():
+    for a in range(16):
+        for b in range(16):
+            assert gf_mul(a, b, 4) == schoolbook_mul(a, b, 4)
+
+
+@pytest.mark.parametrize("s", [32, 64])
+def test_gf_mul_matches_schoolbook_at_wide_widths(s):
+    rng = stream_rng(200 + s, 0)
+    top = (1 << s) - 1
+    edges = [0, 1, 2, top, 1 << (s - 1)]
+    randoms = [int.from_bytes(rng.bytes(s // 8), "big") for _ in range(4000)]
+    pairs = list(itertools.product(edges, edges))
+    pairs += zip(randoms[::2], randoms[1::2])
+    pairs += [(a, b) for a in randoms[:20] for b in edges]
+    for a, b in pairs:
+        assert gf_mul(a, b, s) == schoolbook_mul(a, b, s)
+
+
+@pytest.mark.parametrize("a, b", [(0x10, 1), (1, 0x10), (-1, 1), (3, -2), (1 << 64, 1)])
+def test_gf_mul_rejects_operands_outside_the_field(a, b):
+    # 0x10 is x^4, which GF(16) holds only reduced (as x + 1 = 3)
+    with pytest.raises(ValueError):
+        gf_mul(a, b, 4)
+
+
+@pytest.mark.parametrize(
+    "blocks, x, s",
+    [([0x10], 1, 4), ([1], 0x10, 4), ([1, 2, 16, 3], 5, 4), ([-1], 3, 4),
+     ([1 << 32], 7, 32), ([1], -1, 64), ([1, 1 << 64], 2, 64)],
+)
+def test_poly_hash_rejects_elements_outside_the_field(blocks, x, s):
+    with pytest.raises(ValueError):
+        poly_hash(blocks, x, s)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_field_laws_at_width_32(a, b, c):
@@ -83,13 +146,13 @@ def test_poly_hash_single_block_example():
     assert poly_hash([0x3], 0x2, 4) == 0x6
 
 
-@given(
-    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-    st.integers(0, 2**32 - 1),
-)
+@pytest.mark.parametrize("s", [32, 64])
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_poly_hash_matches_power_sum(blocks, x):
-    s = 32
+def test_poly_hash_matches_power_sum(s, data):
+    element = st.integers(0, 2**s - 1)
+    blocks = data.draw(st.lists(element, min_size=1, max_size=6))
+    x = data.draw(element)
     direct = 0
     for i, block in enumerate(blocks, start=1):
         direct ^= gf_mul(block, gf_pow(x, i, s), s)
@@ -105,6 +168,36 @@ def test_message_blocks_packing():
         message_blocks("", 4)
     with pytest.raises(ValueError):
         message_blocks("1" * 16, 4)
+
+
+@pytest.mark.parametrize("s, longest", [(4, 15), (32, 300), (64, 300)])
+def test_message_blocks_match_the_bit_loop(s, longest):
+    # every length across byte and block boundaries, random bits per length
+    rng = stream_rng(300 + s, 0)
+    for length in range(1, longest + 1):
+        bits = rng.integers(0, 2, length, dtype=np.uint8)
+        assert message_blocks(bits, s) == loop_blocks(bits, s)
+        assert message_blocks(np.ones(length, np.uint8), s) == loop_blocks([1] * length, s)
+
+
+_TEXT = np.unpackbits(np.frombuffer(b"proving erasure", dtype=np.uint8))  # 120 bits
+
+
+@pytest.mark.parametrize(
+    "s, hash_key, pad, message, expected",
+    [
+        (4, 0x7, 0xA, "1011", "5"),
+        (4, 0xF, 0x0, "1" * 15, "8"),
+        (32, 0x89ABCDEF, 0x01234567, "1", "a94074c2"),
+        (32, 0xFFFFFFFF, 0xDEADBEEF, "10" * 50, "28fdf533"),
+        (64, 0x0123456789ABCDEF, 0xFEDCBA9876543210, _TEXT, "b48e7cfe6e71082f"),
+        (64, 0xFFFFFFFFFFFFFFFF, 0x1, "0" * 63 + "1" + "1" * 64 + "0", "aaaaaaaaaaa2b851"),
+    ],
+    ids=["4-one-block", "4-longest", "32-one-bit", "32-top-key", "64-text", "64-top-key"],
+)
+def test_pinned_tags(s, hash_key, pad, message, expected):
+    # tags from the bit-serial multiply and the bit-loop encoding
+    assert tag_to_hex(tag(message, AuthKey(s, hash_key, pad))) == expected
 
 
 def test_distinct_paddings_get_distinct_tags():
