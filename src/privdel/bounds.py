@@ -80,8 +80,8 @@ def hoeffding_bound(m: int, n: int, r: int, epsilon: float) -> HoeffdingBound:
     copy is reported alongside.
     """
     _check_mnr(m, n, r)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     tail = 0.0 if r == 0 else 2.0 * math.exp(-2.0 * epsilon * epsilon / r)
     raw = 2.0 ** (-hypergeom_mean(m, n, r) + epsilon) + tail
     return HoeffdingBound(raw, min(1.0, raw))

@@ -14,6 +14,11 @@ A top-level `--check` runs the acceptance suite and prints one line per
 criterion. Outputs are written atomically; identical invocations produce
 byte-identical files. Exit codes: 0 success, 1 degenerate result, 2 flag
 errors.
+
+This module parses flags, enforces which flags go together, and prints.
+Domain checks live in the library, and `main` turns its `ValueError` into
+exit 2. The checks kept here guard a case the library accepts on purpose
+or must run before `erasure-demo` starts narrating.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -33,7 +39,6 @@ import numpy as np
 from . import acceptance, bounds
 from .auth import auth_key_to_hex, generate_auth_key, tag, tag_to_hex
 from .encoding import (
-    SecretKey,
     as_bits,
     bits_to_string,
     encode,
@@ -115,7 +120,10 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+    values = [float(x) for x in text.split(",") if x != ""]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+    return values
 
 
 def _add_common(
@@ -179,8 +187,8 @@ def _adversary_from_args(parser: argparse.ArgumentParser, args) -> object:
 # subcommands
 
 
-def _cmd_cert(parser, args) -> int:
-    config = ExperimentConfig(
+def _config_from_args(parser, args) -> ExperimentConfig:
+    return ExperimentConfig(
         m=args.m,
         n=args.n,
         task=Task(args.task),
@@ -188,6 +196,10 @@ def _cmd_cert(parser, args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
+
+
+def _cmd_cert(parser, args) -> int:
+    config = _config_from_args(parser, args)
     report = run_cert(config)
     _emit(_render_rows([report_row(config, report)], REPORT_COLUMNS, args.format), args.out)
     return 0
@@ -198,14 +210,7 @@ def _cmd_discr(parser, args) -> int:
         return _discr_grid(parser, args)
     if args.m is None or args.n is None:
         parser.error("--m and --n are required outside --n-grid mode")
-    config = ExperimentConfig(
-        m=args.m,
-        n=args.n,
-        task=Task(args.task),
-        adversary=_adversary_from_args(parser, args),
-        trials=args.trials,
-        seed=args.seed,
-    )
+    config = _config_from_args(parser, args)
     legit = args.legit if args.legit is not None else "0" * args.m
     report = run_discr(config, legit)
     row = report_row(config, report)
@@ -234,24 +239,33 @@ def _discr_grid(parser, args) -> int:
     measured over an n-grid with m = ratio*n and a log-log slope is fitted.
     The protocol is insecure in the tested-attack sense when the product
     does not decay faster than n^(-c)."""
+    given = [
+        f"--{name}"
+        for name in ("m", "n", "legit", "adversary", "r", "prefix")
+        if getattr(args, name) != parser.get_default(name)
+    ]
+    if given:
+        parser.error(f"--n-grid mode does not take {', '.join(given)}")
     ns = args.n_grid
-    if any(n < 1 for n in ns) or len(ns) < 2:
-        parser.error("--n-grid needs at least two n >= 1 values")
-    rows = []
-    products = []
-    for index, n in enumerate(ns):
-        m = args.ratio * n
-        config = ExperimentConfig(
-            m=m,
+    if len(ns) < 2:
+        parser.error("--n-grid needs at least two n values")
+    configs = [
+        ExperimentConfig(
+            m=args.ratio * n,
             n=n,
             task=Task(args.task),
             adversary=FirstBit(),
             trials=args.trials,
             seed=args.seed + index,
         )
-        report = run_discr(config, "0" * m)
+        for index, n in enumerate(ns)
+    ]
+    rows = []
+    products = []
+    for config in configs:
+        report = run_discr(config, "0" * config.m)
         if report.degenerate or not report.security_product or report.security_product <= 0:
-            sys.stdout.write(f"degenerate point at n={n}; cannot fit\n")
+            sys.stdout.write(f"degenerate point at n={config.n}; cannot fit\n")
             return 1
         products.append(report.security_product)
         rows.append(report_row(config, report))
@@ -266,69 +280,67 @@ def _discr_grid(parser, args) -> int:
     return 0
 
 
-def demo_erasure(
-    m: int,
-    n: int,
-    seed: int,
-    adversary=None,
-    repeat: int = 1,
-    fixed_key=None,
-    fixed_message=None,
-    echo=print,
-) -> tuple[list[dict], list[SecretKey]]:
-    """Run annotated provable-deletion sessions; returns transcript rows and keys.
+def _cmd_demo(parser, args) -> int:
+    """Run annotated provable-deletion sessions, printing as they go.
 
-    The first session is narrated step by step; with repeat > 1 the rest
+    The first session is narrated step by step; with --repeat > 1 the rest
     run silently and an aggregate acceptance line is printed. A persisted
     key (and optionally a message) can be replayed instead of drawing
-    fresh ones. The i-th key is the one session i ran under.
+    fresh ones. --key-out writes the narrated session's key.
     """
+    fixed_key = None
+    if args.key_in is not None:
+        fixed_key = key_from_json(json.loads(_resolve_out(args.key_in).read_text()))
+        args.m = fixed_key.message_length
+        args.n = fixed_key.num_traps
+    if args.message is not None and len(args.message) != args.m:
+        parser.error(f"--message must have length m={args.m}")
+    adversary = _adversary_from_args(parser, args)
+    m, n, seed, repeat = args.m, args.n, args.seed, args.repeat
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
-    adversary = adversary if adversary is not None else NoOp()
     transcripts = []
-    keys = []
     accepted_count = 0
     for index in range(repeat):
         rng = stream_rng(seed, index)
         verbose = index == 0
         message = (
-            as_bits(fixed_message) if fixed_message is not None else random_message(m, rng)
+            as_bits(args.message) if args.message is not None else random_message(m, rng)
         )
         key = fixed_key if fixed_key is not None else generate_key(m, n, rng)
-        keys.append(key)
         auth_key = generate_auth_key(64, rng)
         auth_tag = tag(message, auth_key)
         if verbose:
-            echo(f"provable-deletion session: m={m} n={n} seed={seed}")
-            echo(f"  1. upload: message {bits_to_string(message)}")
-            echo(
+            first_key = key
+            print(f"provable-deletion session: m={m} n={n} seed={seed}")
+            print(f"  1. upload: message {bits_to_string(message)}")
+            print(
                 f"     key: trap positions {list(map(int, key.trap_positions))}, "
                 f"trap values {bits_to_string(key.trap_values)}"
             )
-            echo(
+            print(
                 f"     integrity tag {tag_to_hex(auth_tag)} "
                 f"(one-time key {auth_key_to_hex(auth_key)}, kept by the user)"
             )
         state = encode(message, key)
         if verbose:
-            echo(
+            print(
                 f"  2. encoded {m + n} qubits: traps in the diagonal basis, "
                 "message bits rectilinear; state handed to the server"
             )
         state, record = adversary_intervene(state, adversary, rng)
         if verbose:
             if len(record) == 0:
-                echo("  3. channel: no eavesdropping")
+                print("  3. channel: no eavesdropping")
             else:
-                echo(
+                print(
                     f"  3. eavesdropper [{adversary_label(adversary)}] measured "
                     f"positions {list(map(int, record.measured_positions))} -> "
                     f"outcomes {bits_to_string(record.outcomes)}"
                 )
         cert = prover_respond(state, HONEST, Task.ERASURE, rng)
         if verbose:
-            echo(
+            print(
                 "  4. deletion: server measures every qubit in the diagonal "
                 f"basis and announces {bits_to_string(cert.announced)}"
             )
@@ -338,12 +350,12 @@ def demo_erasure(
             shown = bits_to_string(cert.announced[key.trap_positions])
             expected = bits_to_string(key.trap_values)
             verdict = "ACCEPTED" if accepted else "REJECTED"
-            echo(
+            print(
                 f"  5. verify: announced trap bits {shown} vs key {expected} "
                 f"-> {verdict}"
             )
             if accepted:
-                echo(
+                print(
                     "     the rectilinear message content is destroyed and the "
                     "public announcement carries no trace of it"
                 )
@@ -354,45 +366,14 @@ def demo_erasure(
         }
         transcripts.append(row)
     if repeat > 1:
-        echo(
+        print(
             f"{repeat} sessions: accepted {accepted_count}, "
             f"rejected fraction {1 - accepted_count / repeat:.4f}"
         )
-    return transcripts, keys
-
-
-def _cmd_demo(parser, args) -> int:
-    fixed_key = None
-    fixed_message = None
-    if args.key_in is not None:
-        obj = json.loads(_resolve_out(args.key_in).read_text())
-        fixed_key = key_from_json(obj)
-        args.m = fixed_key.message_length
-        args.n = fixed_key.num_traps
-    if args.message is not None:
-        if len(args.message) != args.m:
-            parser.error(f"--message must have length m={args.m}")
-        fixed_message = args.message
-    adversary = _adversary_from_args(parser, args)
-    transcripts, keys = demo_erasure(
-        args.m,
-        args.n,
-        args.seed,
-        adversary=adversary,
-        repeat=args.repeat,
-        fixed_key=fixed_key,
-        fixed_message=fixed_message,
-    )
     if args.key_out is not None:
-        _atomic_write(
-            _resolve_out(args.key_out),
-            json.dumps(key_to_json(keys[0]), sort_keys=True) + "\n",
-        )
+        _emit(json.dumps(key_to_json(first_key), sort_keys=True) + "\n", args.key_out)
     if args.out is not None:
-        _emit(
-            "".join(json.dumps(row, sort_keys=True) + "\n" for row in transcripts),
-            args.out,
-        )
+        _emit(_render_rows(transcripts, (), "jsonl"), args.out)
     return 0
 
 
@@ -410,8 +391,6 @@ def _cmd_bounds(parser, args) -> int:
         return 0
     total = args.m + args.n
     r_values = args.r_list if args.r_list else list(range(0, total + 1, max(1, total // 10)))
-    if any(r < 0 or r > total for r in r_values):
-        parser.error(f"r values must lie in [0, m+n] = [0, {total}]")
     epsilons = args.epsilon if args.epsilon else [0.1, 0.5, 1.0, 2.0, 5.0]
     rows = bounds.bounds_table(args.m, args.n, r_values, epsilons)
     _emit(_render_rows(rows, bounds.BOUNDS_TABLE_COLUMNS, args.format), args.out)
@@ -419,8 +398,6 @@ def _cmd_bounds(parser, args) -> int:
 
 
 def _cmd_keylen(parser, args) -> int:
-    if args.m < 0 or args.n < 0:
-        parser.error("--m and --n must be non-negative")
     if args.m == 0 and args.n > 0:
         parser.error("--m must be >= 1 when --n >= 1: n*log2(m) is undefined at m=0")
     exact, approx = key_length_bits(args.m, args.n)
@@ -433,27 +410,18 @@ def _cmd_keylen(parser, args) -> int:
 
 
 def _cmd_sweep(parser, args) -> int:
-    configs = []
-    for m in args.m_list:
-        for n in args.n_list:
-            total = m + n
-            if args.r_list:
-                r_values = args.r_list
-            else:
-                r_values = sorted({round(f * total) for f in args.r_fracs})
-            for r in r_values:
-                if r < 0 or r > total:
-                    parser.error(f"r={r} outside [0, m+n] for m={m}, n={n}")
-                configs.append(
-                    ExperimentConfig(
-                        m=m,
-                        n=n,
-                        task=Task(args.task),
-                        adversary=RectilinearSample(r),
-                        trials=args.trials,
-                        seed=0,
-                    )
-                )
+    configs = [
+        ExperimentConfig(
+            m=m,
+            n=n,
+            task=Task(args.task),
+            adversary=RectilinearSample(r),
+            trials=args.trials,
+        )
+        for m in args.m_list
+        for n in args.n_list
+        for r in (args.r_list or sorted({round(f * (m + n)) for f in args.r_fracs}))
+    ]
     reports = sweep(configs, master_seed=args.seed)
     rows = [report_row(c, rep) for c, rep in zip(configs, reports)]
     _emit(_render_rows(rows, REPORT_COLUMNS, args.format), args.out)

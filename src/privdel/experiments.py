@@ -81,6 +81,11 @@ class ExperimentConfig:
             raise ValueError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.adversary.attacked > self.m + self.n:
+            raise ValueError(
+                f"adversary {self.adversary.label} attacks more than the "
+                f"m+n={self.m + self.n} positions"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,11 +108,10 @@ class ExperimentReport:
     unconditioned_estimate: Optional[float] = None
     security_product: Optional[float] = None
     accepted_trials: Optional[int] = None
-    error: Optional[str] = None
 
     @property
     def degenerate(self) -> bool:
-        return isinstance(self.estimate, float) and math.isnan(self.estimate)
+        return math.isnan(self.estimate)
 
 
 def _iter_batches(config: ExperimentConfig, legit: Optional[np.ndarray]) -> BatchTally:
@@ -175,32 +179,18 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
 
 
-def sweep(
-    configs: list[ExperimentConfig], master_seed: Optional[int] = None
-) -> list[ExperimentReport]:
-    """Run every certification config; per-config failures do not abort the sweep.
+def sweep(configs: list[ExperimentConfig], master_seed: int) -> list[ExperimentReport]:
+    """Run every certification config, config i under `derive_seed(master_seed, i)`.
 
-    With `master_seed` given, config i runs under a counter-derived seed so
-    the whole sweep is reproducible from one number.
+    The whole sweep is reproducible from one number. A config is checked
+    when it is built, so a bad grid point fails before any sweep runs.
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
-    reports: list[ExperimentReport] = []
-    for index, config in enumerate(configs):
-        if master_seed is not None:
-            config = replace(config, seed=derive_seed(master_seed, index))
-        try:
-            reports.append(run_cert(config))
-        except Exception as exc:  # noqa: BLE001 - sweep must keep going
-            reports.append(
-                ExperimentReport(
-                    estimate=math.nan,
-                    trials=0,
-                    ci95_halfwidth=math.nan,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return reports
+    return [
+        run_cert(replace(config, seed=derive_seed(master_seed, index)))
+        for index, config in enumerate(configs)
+    ]
 
 
 REPORT_COLUMNS = (

@@ -42,9 +42,6 @@ class Task(Enum):
     STORAGE = "storage"
     ERASURE = "erasure"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class PositionChoice(Enum):
     UNIFORM_WITHOUT_REPLACEMENT = "uniform"

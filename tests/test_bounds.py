@@ -98,6 +98,12 @@ def test_domain_validation():
         hoeffding_bound(5, 5, 5, 0.0)
 
 
+def test_hoeffding_bound_rejects_nan_epsilon():
+    # NaN fails every comparison, so a guard written as epsilon <= 0 lets it in
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        hoeffding_bound(5, 2, 3, float("nan"))
+
+
 def test_hypergeom_mean_values():
     assert hypergeom_mean(9, 9, 4) == pytest.approx(2.0)
     assert hypergeom_mean(2, 1, 1) == pytest.approx(1 / 3)

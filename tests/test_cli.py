@@ -12,6 +12,45 @@ import privdel
 from privdel.cli import main
 
 
+# Full outputs of seeded runs, pinned so that a reworded, reordered or
+# re-rolled line fails a test, not only a missing substring.
+DEMO_GOLDEN_STDOUT = """\
+provable-deletion session: m=8 n=2 seed=3
+  1. upload: message 11111010
+     key: trap positions [7, 8], trap values 00
+     integrity tag 58ec64918d018796 (one-time key 46a6e42832b300b1893f0dbcff405e08, kept by the user)
+  2. encoded 10 qubits: traps in the diagonal basis, message bits rectilinear; state handed to the server
+  3. eavesdropper [sample(r=4,uniform)] measured positions [3, 4, 5, 6] -> outcomes 1101
+  4. deletion: server measures every qubit in the diagonal basis and announces 0100110001
+  5. verify: announced trap bits 00 vs key 00 -> ACCEPTED
+     the rectilinear message content is destroyed and the public announcement carries no trace of it
+3 sessions: accepted 2, rejected fraction 0.3333
+"""
+
+DEMO_GOLDEN_JSONL = """\
+{"accepted": true, "adversary": "sample(r=4,uniform)", "auth": {"key": "46a6e42832b300b1893f0dbcff405e08", "tag": "58ec64918d018796"}, "m": 8, "n": 2, "record": {"bases": "RRRR", "outcomes": "1101", "positions": [3, 4, 5, 6]}, "seed": 3, "task": "erasure"}
+{"accepted": true, "adversary": "sample(r=4,uniform)", "auth": {"key": "b0e96b8de3ff8285c4eaa8dbaf2570bf", "tag": "3f004f547ce12eed"}, "m": 8, "n": 2, "record": {"bases": "RRRR", "outcomes": "0010", "positions": [2, 3, 8, 9]}, "seed": 3, "task": "erasure"}
+{"accepted": false, "adversary": "sample(r=4,uniform)", "auth": {"key": "17f4f66d5de16ff8cedd560d7cc60e4a", "tag": "a8307e5524756520"}, "m": 8, "n": 2, "record": {"bases": "RRRR", "outcomes": "1010", "positions": [2, 3, 5, 7]}, "seed": 3, "task": "erasure"}
+"""
+
+SWEEP_GOLDEN = """\
+m,n,task,adversary,r,trials,estimate,ci95,analytic,product,seed
+10,2,storage,"sample(r=0,uniform)",0,2000,1.0,0.000958523640626467,1.0,,0
+10,2,storage,"sample(r=6,uniform)",6,2000,0.5625,0.02172067471590408,0.5568181818181829,,0
+10,2,storage,"sample(r=12,uniform)",12,2000,0.253,0.019040191571880197,0.25,,0
+"""
+
+BOUNDS_GOLDEN = """\
+m,n,r,epsilon,exact,hoeffding_raw,hoeffding_clamped,mean_K
+10,5,0,0.5,1.0,1.4142135623730951,1.0,0.0
+10,5,0,2.0,1.0,4.0,1.0,0.0
+10,5,5,0.5,0.378423659673659,2.2551241951420886,1.0,1.6666666666666667
+10,5,5,2.0,0.378423659673659,1.663714085884184,1.0,1.6666666666666667
+10,5,15,0.5,0.03125,1.978626374788171,1.0,5.0
+10,5,15,2.0,0.03125,1.2982924390200636,1.0,5.0
+"""
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -44,19 +83,7 @@ def test_bounds_table_columns(capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(out.splitlines()))
-    assert len(rows) == 6
-    assert set(rows[0]) == {
-        "m",
-        "n",
-        "r",
-        "epsilon",
-        "exact",
-        "hoeffding_raw",
-        "hoeffding_clamped",
-        "mean_K",
-    }
-    assert float(rows[0]["exact"]) == 1.0
+    assert out == BOUNDS_GOLDEN
 
 
 def test_cert_csv_row(capsys):
@@ -113,7 +140,13 @@ def test_flag_errors_exit_two(capsys):
         ["discr", "--m", "4", "--n", "2", "--legit", "0102", "--trials", "10"],
         ["discr", "--n-grid", "1,2", "--ratio", "0", "--trials", "10"],
         ["bounds", "--m", "4", "--n", "2", "--epsilon", "0"],
+        ["bounds", "--m", "5", "--n", "2", "--epsilon", "nan"],
+        ["bounds", "--m", "5", "--n", "2", "--epsilon", "inf"],
+        ["bounds", "--m", "4", "--n", "2", "--r-list", "0,7"],
+        ["sweep", "--m-list", "5", "--n-list", "2", "--r-fracs", "inf", "--trials", "10"],
+        ["discr", "--n-grid", "0,2", "--trials", "10"],
         ["keylen", "--m", "0", "--n", "3"],
+        ["keylen", "--m", "-1", "--n", "3"],
         ["erasure-demo", "--repeat", "0"],
     ):
         assert_exits_two(args, capsys)
@@ -165,6 +198,19 @@ def test_discr_degenerate_exits_one(capsys):
     assert code == 1
 
 
+def test_discr_grid_rejects_single_point_flags(capsys):
+    stderr = assert_exits_two(
+        ["discr", "--n-grid", "2,4", "--adversary", "sample", "--r", "3", "--trials", "100"],
+        capsys,
+    )
+    assert stderr.splitlines()[-1].endswith("does not take --adversary, --r")
+    stderr = assert_exits_two(
+        ["discr", "--n-grid", "2,4", "--m", "18", "--n", "2", "--legit", "0", "--prefix"],
+        capsys,
+    )
+    assert stderr.splitlines()[-1].endswith("does not take --m, --n, --legit, --prefix")
+
+
 def test_discr_grid_fits_the_product(capsys):
     code, out = run_cli(
         [
@@ -203,6 +249,25 @@ def test_demo_transcript_file(tmp_path, capsys):
     assert len(row["auth"]["tag"]) == 16 and len(row["auth"]["key"]) == 32
 
 
+def test_demo_golden_session_and_first_key(tmp_path, capsys):
+    out_path = tmp_path / "transcripts.jsonl"
+    key_path = tmp_path / "key.json"
+    code, out = run_cli(
+        [
+            "erasure-demo", "--m", "8", "--n", "2", "--seed", "3", "--r", "4",
+            "--repeat", "3", "--out", str(out_path), "--key-out", str(key_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out == DEMO_GOLDEN_STDOUT
+    assert out_path.read_text() == DEMO_GOLDEN_JSONL
+    # the narrated first session's key, not a later session's
+    assert key_path.read_text() == (
+        '{"m": 8, "n": 2, "trap_positions": [7, 8], "trap_values": "00"}\n'
+    )
+
+
 def test_demo_key_persist_and_replay(tmp_path, capsys):
     key_path = tmp_path / "key.json"
     code, out = run_cli(
@@ -237,10 +302,16 @@ def test_sweep_writes_deterministic_csv(tmp_path, capsys):
     assert main(args + ["--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
-    rows = list(csv.DictReader(first.read_text().splitlines()))
-    assert len(rows) == 3
-    assert [row["r"] for row in rows] == ["0", "6", "12"]
-    assert float(rows[0]["estimate"]) == 1.0
+    assert first.read_text() == SWEEP_GOLDEN
+
+
+def test_sweep_rejects_a_bad_point_before_writing(tmp_path, capsys):
+    out_path = tmp_path / "F"
+    assert_exits_two(
+        ["sweep", "--m-list", "4", "--n-list", "2", "--r-list", "9", "--out", str(out_path)],
+        capsys,
+    )
+    assert not out_path.exists()
 
 
 def test_out_writes_past_a_stale_temp_path(tmp_path, capsys):

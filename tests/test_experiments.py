@@ -487,20 +487,14 @@ def test_sweep_with_noop_grid_is_all_ones():
     assert [rep.estimate for rep in sweep(configs, master_seed=1)] == [1.0, 1.0]
 
 
-def test_sweep_survives_a_failing_config():
-    good = ExperimentConfig(m=6, n=2, trials=2_000, seed=0)
-    bad = ExperimentConfig(
-        m=6, n=2, adversary=RectilinearSample(9), trials=2_000, seed=0
-    )
-    reports = sweep([good, bad, good], master_seed=3)
-    assert reports[0].estimate == 1.0 and reports[2].estimate == 1.0
-    assert reports[1].error is not None and "r=9" in reports[1].error
-    assert math.isnan(reports[1].estimate)
+def test_config_rejects_more_attacked_positions_than_the_state_has():
+    with pytest.raises(ValueError, match="r=9"):
+        ExperimentConfig(m=6, n=2, adversary=RectilinearSample(9))
 
 
 def test_sweep_rejects_empty_input():
     with pytest.raises(ValueError):
-        sweep([])
+        sweep([], master_seed=0)
 
 
 def test_report_row_echoes_the_parameter_set():
