@@ -333,7 +333,7 @@ def subset_rows(total, k):
     return np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
 
 
-@pytest.mark.parametrize("task", [Task.STORAGE, Task.ERASURE], ids=str)
+@pytest.mark.parametrize("task", [Task.STORAGE, Task.ERASURE], ids=lambda task: task.value)
 @pytest.mark.parametrize("m,n", ENUMERATED_SIZES)
 def test_kernel_acceptance_is_the_exact_law_by_enumeration(m, n, task):
     # every r-subset is RectilinearSample(r)'s draw; bases other than all
@@ -370,7 +370,7 @@ def test_kernel_acceptance_is_the_exact_law_by_enumeration(m, n, task):
             assert Fraction(accepted, runs) == expected, (r, bases.tolist())
 
 
-@pytest.mark.parametrize("task", [Task.STORAGE, Task.ERASURE], ids=str)
+@pytest.mark.parametrize("task", [Task.STORAGE, Task.ERASURE], ids=lambda task: task.value)
 @pytest.mark.parametrize("m,n", ENUMERATED_SIZES)
 def test_kernel_firstbit_is_exact_by_enumeration(m, n, task):
     # every candidate message, trap set, trap values, legit/dummy coin,
