@@ -12,10 +12,11 @@ zero-padded message blocks followed by one extra block holding the
 original bit length, which therefore must be below 2^s. s=4 exists solely
 so the security property can be verified by exhausting the key space.
 
-A product a*b is formed one nibble of `a` at a time, most significant
-first, from `_window(b)`, the 16 carry-less products b*j for j < 16. The
-unreduced product is then folded below x^s, as x^s equals the low terms of
-the reduction polynomial. `poly_hash` builds its point's window once.
+A product a*b is formed one byte of `a` at a time, most significant
+first, with two lookups per byte (high nibble, then low) into `_window(b)`,
+the 16 carry-less products b*j for j < 16. The unreduced product is then
+folded below x^s, as x^s equals the low terms of the reduction polynomial.
+`poly_hash` builds its point's window once.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import numpy as np
 
 from .encoding import as_bits
 
-#: Irreducible reduction polynomials (with the x^s term included). Every
-#: width is a multiple of 4, so `_mul` reads a factor in whole nibbles.
+#: Irreducible reduction polynomials (with the x^s term included). `_mul`
+#: reads a factor one byte at a time, two nibble lookups per byte; at s=4
+#: the only byte's high nibble is 0 and adds nothing.
 REDUCTION_POLYS = {
     4: 0b1_0011,  # x^4 + x + 1
     32: (1 << 32) | (1 << 7) | (1 << 3) | (1 << 2) | 1,  # x^32 + x^7 + x^3 + x^2 + 1
@@ -61,8 +63,8 @@ def _window(b: int) -> list[int]:
 def _mul(a: int, window: list[int], s: int) -> int:
     """a*b modulo the width-s reduction polynomial, b given by its window."""
     acc = 0
-    for shift in range(s - 4, -1, -4):
-        acc = acc << 4 ^ window[a >> shift & 0xF]
+    for byte in a.to_bytes((s + 7) // 8, "big"):
+        acc = acc << 8 ^ window[byte >> 4] << 4 ^ window[byte & 0xF]
     while high := acc >> s:
         acc &= (1 << s) - 1
         for e in _LOW_TERMS[s]:
@@ -129,10 +131,18 @@ class AuthTag:
 
 
 def generate_auth_key(s: int, rng: np.random.Generator) -> AuthKey:
+    """Hash key and pad from one `rng.bytes` draw.
+
+    `Generator.bytes` consumes whole uint32 words, so each element takes
+    the first bytes of its own `word`-byte span: the same key, and the same
+    generator state afterwards, as one draw per element.
+    """
     nbytes = (s + 7) // 8
+    word = 4 * -(-nbytes // 4)
+    raw = rng.bytes(2 * word)
     mask = (1 << s) - 1
-    hash_key = int.from_bytes(rng.bytes(nbytes), "big") & mask
-    pad = int.from_bytes(rng.bytes(nbytes), "big") & mask
+    hash_key = int.from_bytes(raw[:nbytes], "big") & mask
+    pad = int.from_bytes(raw[word : word + nbytes], "big") & mask
     return AuthKey(s, hash_key, pad)
 
 

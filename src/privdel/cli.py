@@ -247,8 +247,8 @@ def _discr_grid(parser, args) -> int:
     if given:
         parser.error(f"--n-grid mode does not take {', '.join(given)}")
     ns = args.n_grid
-    if len(ns) < 2:
-        parser.error("--n-grid needs at least two n values")
+    if len(set(ns)) < 2:
+        parser.error("--n-grid needs at least two distinct n values")
     configs = [
         ExperimentConfig(
             m=args.ratio * n,
@@ -290,9 +290,14 @@ def _cmd_demo(parser, args) -> int:
     """
     fixed_key = None
     if args.key_in is not None:
+        given = [f"--{name}" for name in ("m", "n") if getattr(args, name) is not None]
+        if given:
+            parser.error(f"--key-in does not take {', '.join(given)}; the key sets m and n")
         fixed_key = key_from_json(json.loads(_resolve_out(args.key_in).read_text()))
-        args.m = fixed_key.message_length
-        args.n = fixed_key.num_traps
+        args.m, args.n = fixed_key.message_length, fixed_key.num_traps
+    else:
+        args.m = 16 if args.m is None else args.m
+        args.n = 4 if args.n is None else args.n
     if args.message is not None and len(args.message) != args.m:
         parser.error(f"--message must have length m={args.m}")
     adversary = _adversary_from_args(parser, args)
@@ -422,8 +427,7 @@ def _cmd_sweep(parser, args) -> int:
         for n in args.n_list
         for r in (args.r_list or sorted({round(f * (m + n)) for f in args.r_fracs}))
     ]
-    reports = sweep(configs, master_seed=args.seed)
-    rows = [report_row(c, rep) for c, rep in zip(configs, reports)]
+    rows = [report_row(c, rep) for c, rep in sweep(configs, master_seed=args.seed)]
     _emit(_render_rows(rows, REPORT_COLUMNS, args.format), args.out)
     return 0
 
@@ -477,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_demo = sub.add_parser("erasure-demo", help="annotated provable-deletion session")
-    p_demo.add_argument("--m", type=int, default=16)
-    p_demo.add_argument("--n", type=int, default=4)
+    p_demo.add_argument("--m", type=int, default=None, help="default 16; not with --key-in")
+    p_demo.add_argument("--n", type=int, default=None, help="default 4; not with --key-in")
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument(
         "--adversary", choices=("noop", "sample", "firstbit"), default=None

@@ -179,18 +179,23 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
 
 
-def sweep(configs: list[ExperimentConfig], master_seed: int) -> list[ExperimentReport]:
+def sweep(
+    configs: list[ExperimentConfig], master_seed: int
+) -> list[tuple[ExperimentConfig, ExperimentReport]]:
     """Run every certification config, config i under `derive_seed(master_seed, i)`.
 
-    The whole sweep is reproducible from one number. A config is checked
-    when it is built, so a bad grid point fails before any sweep runs.
+    Returns each config as it ran, with its derived seed, beside its
+    report, so a point can be rerun alone. The whole sweep is reproducible
+    from one number. A config is checked when it is built, so a bad grid
+    point fails before any sweep runs.
     """
     if not configs:
         raise ValueError("sweep needs at least one config")
-    return [
-        run_cert(replace(config, seed=derive_seed(master_seed, index)))
+    ran = [
+        replace(config, seed=derive_seed(master_seed, index))
         for index, config in enumerate(configs)
     ]
+    return [(config, run_cert(config)) for config in ran]
 
 
 REPORT_COLUMNS = (

@@ -17,10 +17,12 @@ be the only problem the criterion reports.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from privdel import acceptance, bounds
 from privdel.encoding import key_length_bits
+from privdel.experiments import stream_rng
 
 
 def assert_key_length_red(result):
@@ -73,3 +75,61 @@ def test_enumeration_oracle_is_the_exact_law():
                 assert acceptance.enumerated_cert_fraction(
                     total - n, n, r
                 ) == bounds.cert_exact_fraction(total - n, n, r)
+
+
+def sort_multiplicity_ok(diffs, limit):
+    """Reference forgery predicate: no row of nibble values holds one value more than `limit` times."""
+    d = np.sort(diffs, axis=-1)
+    return not (d[..., limit:] == d[..., :-limit]).any()
+
+
+def packed_ok(ha, hb, limit):
+    return acceptance._max_multiplicity_ok(
+        acceptance._pack_rows(ha), acceptance._pack_rows(hb), limit
+    )
+
+
+def test_packed_forgery_predicate_matches_a_sort_on_random_rows():
+    rng = stream_rng(40, 0)
+    verdicts = set()
+    for limit in range(1, 8):
+        for case in range(40):
+            # few distinct values skew the rows; every tenth case spans
+            # several 64-row chunks
+            values = int(rng.integers(2, 17))
+            rows = 140 if case % 10 == 0 else 6
+            ha = rng.integers(0, values, (int(rng.integers(1, rows)), 16), dtype=np.uint8)
+            hb = rng.integers(0, values, (int(rng.integers(1, 6)), 16), dtype=np.uint8)
+            expected = sort_multiplicity_ok(ha[:, None, :] ^ hb[None, :, :], limit)
+            assert packed_ok(ha, hb, limit) == expected  # cross-length form
+            verdicts.add(expected)
+            if len(ha) > 1:
+                expected = sort_multiplicity_ok(ha[1:] ^ ha[0], limit)
+                assert packed_ok(ha[:1], ha[1:], limit) == expected  # equal-length form
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4])
+def test_packed_forgery_predicate_on_planted_rows(limit):
+    rng = stream_rng(50 + limit, 0)
+    base = rng.integers(0, 16, 16, dtype=np.uint8)
+
+    def distinct_diffs(rows):
+        return np.stack([rng.permutation(16).astype(np.uint8) for _ in range(rows)])
+
+    # XOR with a constant nibble keeps every value's multiplicity, so each
+    # pair ha[i] ^ hb[j] below holds the multiplicities of diffs[i]
+    hb = base ^ np.arange(16, dtype=np.uint8)[:, None]
+    for count, ok in ((limit, True), (limit + 1, False)):
+        planted = rng.permutation(16).astype(np.uint8)
+        sites = rng.choice(16, count, replace=False)
+        planted[sites] = planted[sites[0]]  # one value exactly `count` times
+        diffs = distinct_diffs(130)
+        diffs[127] = planted  # the last row of the second 64-row chunk
+        ha = base ^ diffs
+        assert sort_multiplicity_ok(ha[:, None, :] ^ hb[None, :, :], limit) == ok
+        assert packed_ok(ha, hb, limit) == ok  # cross-length form
+        h = base ^ np.concatenate([np.zeros((1, 16), np.uint8), diffs])
+        assert sort_multiplicity_ok(h[1:] ^ h[0], limit) == ok
+        assert packed_ok(h[:1], h[1:], limit) == ok  # equal-length form

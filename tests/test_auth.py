@@ -223,6 +223,28 @@ def test_round_trip(length, seed, s):
     assert verify_tag(bits, tag(bits, key), key)
 
 
+@pytest.mark.parametrize(
+    "s, first, second, next_draw",
+    [
+        (4, "fe", "83", 2458955400),
+        (32, "9f5b658c8e4436e7", "085c4a7ed35c5311", 2458955400),
+        (
+            64,
+            "9f5b658c8e4436e7085c4a7ed35c5311",
+            "88ae90922d1638ac556929149ab0f878",
+            1521222313,
+        ),
+    ],
+)
+def test_generate_auth_key_is_pinned(s, first, second, next_draw):
+    # keys and the generator state after them; each key element takes
+    # whole uint32 words of the stream, so s=4 and s=32 use the same words
+    rng = stream_rng(31, 0)
+    assert auth_key_to_hex(generate_auth_key(s, rng)) == first
+    assert auth_key_to_hex(generate_auth_key(s, rng)) == second
+    assert int(rng.integers(0, 2**32)) == next_draw
+
+
 def test_single_bit_flip_detection_rate_exhaustively():
     # two-block messages: a flip is accepted by at most 2 of 16 hash keys
     rng = stream_rng(21, 0)

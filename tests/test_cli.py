@@ -35,9 +35,9 @@ DEMO_GOLDEN_JSONL = """\
 
 SWEEP_GOLDEN = """\
 m,n,task,adversary,r,trials,estimate,ci95,analytic,product,seed
-10,2,storage,"sample(r=0,uniform)",0,2000,1.0,0.000958523640626467,1.0,,0
-10,2,storage,"sample(r=6,uniform)",6,2000,0.5625,0.02172067471590408,0.5568181818181829,,0
-10,2,storage,"sample(r=12,uniform)",12,2000,0.253,0.019040191571880197,0.25,,0
+10,2,storage,"sample(r=0,uniform)",0,2000,1.0,0.000958523640626467,1.0,,1926383459
+10,2,storage,"sample(r=6,uniform)",6,2000,0.5625,0.02172067471590408,0.5568181818181829,,592467769
+10,2,storage,"sample(r=12,uniform)",12,2000,0.253,0.019040191571880197,0.25,,621272063
 """
 
 BOUNDS_GOLDEN = """\
@@ -145,6 +145,7 @@ def test_flag_errors_exit_two(capsys):
         ["bounds", "--m", "4", "--n", "2", "--r-list", "0,7"],
         ["sweep", "--m-list", "5", "--n-list", "2", "--r-fracs", "inf", "--trials", "10"],
         ["discr", "--n-grid", "0,2", "--trials", "10"],
+        ["discr", "--n-grid", "2,2", "--trials", "10"],
         ["keylen", "--m", "0", "--n", "3"],
         ["keylen", "--m", "-1", "--n", "3"],
         ["erasure-demo", "--repeat", "0"],
@@ -291,6 +292,17 @@ def test_demo_key_persist_and_replay(tmp_path, capsys):
     assert "ACCEPTED" in out
 
 
+def test_demo_key_in_rejects_size_flags(tmp_path, capsys):
+    key_path = tmp_path / "key.json"
+    key_path.write_text('{"m": 8, "n": 2, "trap_positions": [1, 4], "trap_values": "01"}')
+    stderr = assert_exits_two(
+        ["erasure-demo", "--key-in", str(key_path), "--m", "99", "--n", "7"], capsys
+    )
+    assert stderr.splitlines()[-1].endswith(
+        "--key-in does not take --m, --n; the key sets m and n"
+    )
+
+
 def test_sweep_writes_deterministic_csv(tmp_path, capsys):
     args = [
         "sweep", "--m-list", "10", "--n-list", "2",
@@ -303,6 +315,20 @@ def test_sweep_writes_deterministic_csv(tmp_path, capsys):
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text() == SWEEP_GOLDEN
+
+
+def test_cert_reruns_a_sweep_row_from_its_own_columns(capsys):
+    # each row carries the derived seed its point ran under
+    for row in csv.DictReader(SWEEP_GOLDEN.splitlines()):
+        code, out = run_cli(
+            [
+                "cert", "--m", row["m"], "--n", row["n"], "--r", row["r"],
+                "--trials", row["trials"], "--seed", row["seed"],
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert next(csv.DictReader(out.splitlines())) == row
 
 
 def test_sweep_rejects_a_bad_point_before_writing(tmp_path, capsys):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from privdel.encoding import encode, generate_key, random_message
 from privdel.experiments import (
     ExperimentConfig,
     REPORT_COLUMNS,
+    derive_seed,
     report_row,
     run_cert,
     run_discr,
@@ -470,10 +472,11 @@ def test_sweep_is_monotone_and_deterministic():
     first = sweep(configs, master_seed=99)
     second = sweep(configs, master_seed=99)
     assert first == second
-    estimates = [rep.estimate for rep in first]
+    estimates = [rep.estimate for _, rep in first]
     assert estimates[0] == 1.0
     assert all(a >= b for a, b in zip(estimates, estimates[1:]))
-    for config, rep in zip(configs, first):
+    for index, (config, rep) in enumerate(first):
+        assert config == replace(configs[index], seed=derive_seed(99, index))
         assert rep.analytic_reference == pytest.approx(
             cert_exact(m, n, config.adversary.r)
         )
@@ -484,7 +487,7 @@ def test_sweep_with_noop_grid_is_all_ones():
         ExperimentConfig(m=m, n=4, adversary=NoOp(), trials=3_000, seed=0)
         for m in (8, 16)
     ]
-    assert [rep.estimate for rep in sweep(configs, master_seed=1)] == [1.0, 1.0]
+    assert [rep.estimate for _, rep in sweep(configs, master_seed=1)] == [1.0, 1.0]
 
 
 def test_config_rejects_more_attacked_positions_than_the_state_has():
