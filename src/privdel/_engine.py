@@ -2,10 +2,12 @@
 
 A run's verdict depends only on its n trap sites, and the guess only on
 what the attack saw. So a batch of t runs holds, per run, only its n traps
-and its k attacked sites, in one (t, n+k) uint8 site array (see `qubit`):
-traps in the first n columns, the attacked positions after them. An
-attacked trap is measured in its own trap column, and the column set aside
-for it goes unused. Memory and work per run are O(n + k), whatever m is.
+and its k attacked sites, as a (t, n) and a (t, k) uint8 site array (see
+`qubit`). Only the attacked traps, at most min(n, k) per run, link the
+two: the kernel finds them by searching the smaller row-sorted set in the
+larger, copies each such trap's site into the attacked sites before the
+attack, and its collapse back after. Memory and work per run are
+O(n + k), whatever m is.
 
 `run_batch` is a draw step and a pure kernel. `draw` takes every random
 input of t runs from the stream: traps from `encoding.uniform_subsets`,
@@ -52,7 +54,9 @@ class TrialInputs(NamedTuple):
     #: (t, k) uniforms of the attack measurements
     attack_u: np.ndarray
     #: uniforms of the trap check: (t, n) for the storage verifier's trap
-    #: measurements, (t, n+k) for the erasure prover's announcement
+    #: measurements, (t, n+k) for the erasure prover's announcement. Only
+    #: the first n columns, the traps', are read; the rest are drawn so the
+    #: stream stays that of a prover measuring every held site
     check_u: np.ndarray
 
 
@@ -90,61 +94,91 @@ def kernel(
     of the inputs.
 
     A non-trap attacked position p holds message bit p - (traps before p):
-    the candidate's bit in a legitimate run, the fresh bit otherwise. The
-    attack measures each attacked site once, a trap in its trap column;
-    then the storage verifier measures the traps in the diagonal basis, or
-    the erasure prover measures every held site in the diagonal basis and
-    the verifier reads the trap announcements. A run is accepted iff every
-    trap outcome equals its trap value.
+    the candidate's bit in a legitimate run, the fresh bit otherwise. An
+    attacked trap holds its trap site instead. The attack measures each
+    (t, k) attacked site once, and each attacked trap takes its collapsed
+    site back into the (t, n) trap sites. Then the storage verifier
+    measures the traps in the diagonal basis, or the erasure prover
+    measures every held site in the diagonal basis and the verifier reads
+    the trap announcements; either way only the trap outcomes count, from
+    the first n columns of `check_u`. A run is accepted iff every trap
+    outcome equals its trap value.
     """
     traps, trap_values, positions, bases, bits, is_legit, attack_u, check_u = inputs
     t, n = traps.shape
     k = positions.shape[1]
-    before, is_trap = _traps_before(traps, positions, m + n)
-
-    sites = np.empty((t, n + k), dtype=np.uint8)
-    sites[:, :n] = 2 * Basis.DIAGONAL + trap_values
-    if is_legit is not None:
-        # trap entries index past their message bit; clip, their column is unused
-        candidate = legit.take(positions - before, mode="clip")
-        bits = np.where(is_legit[:, None], candidate, bits)
-    sites[:, n:] = 2 * Basis.RECTILINEAR + bits
-
+    trap_sites = 2 * Basis.DIAGONAL + trap_values
     if k:
-        # in place, so that few (t, k) index arrays are alive at once: an
-        # attacked trap's column is its trap index, which `before` holds
-        columns = before
-        np.copyto(columns, n + np.arange(k), where=~is_trap)
-        rows = np.arange(t)[:, None]
-        outcomes = measure_sites(sites, (rows, columns), bases, attack_u)
+        trap_at, site_at, before = _matches(traps, positions, m + n, is_legit is not None)
+        if is_legit is not None:
+            # trap entries index past their message bit; clip, they are overwritten
+            candidate = legit.take(positions - before, mode="clip")
+            bits = np.where(is_legit[:, None], candidate, bits)
+        sites = 2 * Basis.RECTILINEAR + bits
+        flat_sites, flat_traps = sites.reshape(-1), trap_sites.reshape(-1)
+        flat_sites[site_at] = flat_traps[trap_at]
+        outcomes = measure_sites(sites, ..., bases, attack_u)
+        flat_traps[trap_at] = flat_sites[site_at]
     else:
         outcomes = np.empty((t, 0), dtype=np.uint8)
-
-    held = np.s_[:, :n] if task is Task.STORAGE else ...
-    checks = measure_sites(sites, held, Basis.DIAGONAL, check_u)[:, :n]
+    checks = measure_sites(trap_sites, ..., Basis.DIAGONAL, check_u[:, :n])
     return (checks == trap_values).all(axis=1), outcomes
 
 
-def _traps_before(
-    traps: np.ndarray, positions: np.ndarray, total: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each attacked position, the traps before it in its row, and
-    whether it is a trap itself.
+def _matches(
+    traps: np.ndarray, positions: np.ndarray, total: int, with_before: bool
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Each attacked trap as a pair of flat indices, (trap, attacked site),
+    and, if asked, the (t, k) count of traps before each attacked position.
 
     Row i is shifted by i * total, which lays the rows end to end in one
-    sorted array, so one search answers every row. The shifted values are
-    int32 wherever they fit: on the narrow benchmark workload that took
-    the peak RSS from 50.4 to 47.4 MB, and the search is faster too.
+    sorted array, so one search answers every row. The search looks up the
+    smaller side in the larger: attacked positions among the traps when
+    k <= n, else traps among the attacked positions. The shifted values
+    are int32 wherever they fit, which keeps the keys small and the search
+    fast.
     """
     t, n = traps.shape
+    k = positions.shape[1]
     shifted = np.int32 if t * total < 2**31 else np.int64
     row = np.arange(t, dtype=shifted)[:, None]
-    keyed = np.add(traps, row * total, dtype=shifted, casting="unsafe").ravel()
-    query = np.add(positions, row * total, dtype=shifted, casting="unsafe")
-    found = np.searchsorted(keyed, query)
-    is_trap = keyed.take(found, mode="clip") == query
-    found -= row * n
-    return found, is_trap
+    trap_keys = np.add(traps, row * total, dtype=shifted, casting="unsafe")
+    site_keys = np.add(positions, row * total, dtype=shifted, casting="unsafe")
+    before = None
+    if k <= n:
+        found = np.searchsorted(trap_keys.ravel(), site_keys)
+        site_at = np.flatnonzero(trap_keys.take(found, mode="clip") == site_keys)
+        trap_at = found.ravel()[site_at]
+        if with_before:
+            before = found
+            before -= row * n
+        return trap_at, site_at, before
+    found = np.searchsorted(site_keys.ravel(), trap_keys)
+    trap_at = np.flatnonzero(site_keys.take(found, mode="clip") == trap_keys)
+    site_at = found.ravel()[trap_at]
+    if with_before:
+        # found - i * k is a trap's insertion point among row i's attacked
+        # positions: the traps at or before position j are those inserted
+        # at j or earlier, less one if position j is itself a trap
+        inserted = np.bincount((found + row).ravel(), minlength=t * (k + 1))
+        before = inserted.reshape(t, k + 1)[:, :k].cumsum(axis=1)
+        before.reshape(-1)[site_at] -= 1
+    return trap_at, site_at, before
+
+
+def batch_bytes(t: int, m: int, n: int, k: int) -> int:
+    """An upper estimate of the peak bytes of one batch of t runs with k
+    attacked positions.
+
+    The drawn inputs, search keys and site arrays take at most about 48
+    bytes per trap or attacked site (measured up to 40 with `tracemalloc`).
+    A subset drawn by shuffling (`encoding.uniform_subsets`: one run, or a
+    third of the positions or more) first fills a (t, m+n) intp array,
+    which dominates at large m.
+    """
+    total = m + n
+    shuffled = any(size and (t == 1 or 3 * size >= total) for size in (n, k))
+    return t * (48 * (n + k) + (8 * total if shuffled else 0))
 
 
 def run_batch(

@@ -119,11 +119,15 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    values = [float(x) for x in text.split(",") if x != ""]
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
-    return values
+    return [_finite_float(x) for x in text.split(",") if x != ""]
 
 
 def _add_common(
@@ -475,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_discr.add_argument("--ratio", type=int, default=9, help="m = ratio*n in grid mode")
     p_discr.add_argument(
         "--negl-exponent",
-        type=float,
+        type=_finite_float,
         default=1.0,
         help="compare the fitted decay against n^-c",
     )

@@ -86,18 +86,21 @@ def _redrawn_subsets(
     The redraw rule looks only at which entries are equal, never at their
     values, so relabeling range(total) maps the process onto itself: every
     k-subset is equally likely. Each pass sorts and checks only the rows
-    that still had a duplicate.
+    that still had a duplicate. Rows are drawn and sorted as int32 where
+    total fits, which sorts faster than intp; numpy's bounded draw takes
+    the same 32-bit path for both, so the stream is the same.
     """
-    rows = rng.integers(0, total, (t, k), dtype=np.intp)
+    dtype = np.int32 if total < 2**31 else np.intp
+    rows = rng.integers(0, total, (t, k), dtype=dtype)
     todo = np.arange(t)
     while todo.size:
         sub = np.sort(rows[todo], axis=1)
         surplus = np.zeros(sub.shape, dtype=bool)
         surplus[:, 1:] = sub[:, 1:] == sub[:, :-1]
-        sub[surplus] = rng.integers(0, total, np.count_nonzero(surplus))
+        sub[surplus] = rng.integers(0, total, np.count_nonzero(surplus), dtype=dtype)
         rows[todo] = sub
         todo = todo[surplus.any(axis=1)]
-    return rows
+    return rows.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,13 +20,17 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from ._engine import BatchTally, run_batch
+from ._engine import BatchTally, batch_bytes, run_batch
 from .encoding import as_bits
 from .parties import AdversaryStrategy, NoOp, Task, adversary_label
 
 #: Trials per derived random stream. Fixed so results do not depend on
 #: scheduling; changing it changes the streams and therefore the samples.
 BATCH_TRIALS = 4096
+
+#: A config whose batch is estimated (`_engine.batch_bytes`) above this
+#: many bytes is refused when it is built, before anything is drawn.
+MAX_BATCH_BYTES = 2 * 2**30
 
 _Z95 = 1.959963984540054
 
@@ -85,6 +89,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"adversary {self.adversary.label} attacks more than the "
                 f"m+n={self.m + self.n} positions"
+            )
+        t = min(self.trials, BATCH_TRIALS)
+        needed = batch_bytes(t, self.m, self.n, self.adversary.attacked)
+        if needed > MAX_BATCH_BYTES:
+            raise ValueError(
+                f"one batch of {t} runs needs about {needed / 2**30:.1f} GiB, "
+                f"over the {MAX_BATCH_BYTES / 2**30:g} GiB limit"
             )
 
 

@@ -58,8 +58,8 @@ def measure_sites(sites: np.ndarray, index, bases, u: np.ndarray) -> np.ndarray:
     """Measure the sites ``sites[index]``, collapsing them in place.
 
     `index` is any numpy index that names each site at most once: the
-    positions of one state, ``(rows, columns)`` of a batch, a block such as
-    ``np.s_[:, :n]``, or ``...`` for every site. `bases` broadcasts against
+    positions of one state, or ``...`` for every site of a state or of a
+    batch's site array. `bases` broadcasts against
     ``sites[index]``, and `u` holds one uniform variate per measured site,
     in that shape. Returns the outcomes as a uint8 array of that shape.
     """

@@ -146,9 +146,28 @@ def test_flag_errors_exit_two(capsys):
         ["sweep", "--m-list", "5", "--n-list", "2", "--r-fracs", "inf", "--trials", "10"],
         ["discr", "--n-grid", "0,2", "--trials", "10"],
         ["discr", "--n-grid", "2,2", "--trials", "10"],
+        ["discr", "--n-grid", "2,4", "--negl-exponent", "nan", "--trials", "10"],
+        ["discr", "--n-grid", "2,4", "--negl-exponent", "inf", "--trials", "10"],
         ["keylen", "--m", "0", "--n", "3"],
         ["keylen", "--m", "-1", "--n", "3"],
         ["erasure-demo", "--repeat", "0"],
+    ):
+        assert_exits_two(args, capsys)
+
+
+def test_batch_too_large_to_allocate_exits_two(monkeypatch, capsys):
+    # refused from the size estimate alone: the shuffled sampler that would
+    # allocate the (4096, m+n) rows is never reached
+    from privdel import encoding
+
+    def never_shuffle(*args):
+        raise AssertionError("a refused batch must not be drawn")
+
+    monkeypatch.setattr(encoding, "_shuffled_subsets", never_shuffle)
+    for args in (
+        ["cert", "--m", "1000000", "--n", "32", "--r", "1000000", "--trials", "4096"],
+        # the sweep fails before its first, small point would draw
+        ["sweep", "--m-list", "8,1000000", "--n-list", "32", "--trials", "4096"],
     ):
         assert_exits_two(args, capsys)
 

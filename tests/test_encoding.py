@@ -122,6 +122,25 @@ def test_uniform_subsets_picks_its_draw_from_the_sizes():
     assert row.tolist() == sorted(stream_rng(64, 0).permutation(120)[:20].tolist())
 
 
+@pytest.mark.parametrize(
+    "t,total,k,digest,next_draw",
+    [
+        (4096, 1050, 105, 15866023084, 1555078244),
+        (4096, 120, 20, 66813274, 191471648),
+        (64, 30, 7, 33773, 2078786526),
+    ],
+)
+def test_redrawn_subsets_stream_is_pinned(t, total, k, digest, next_draw):
+    # the rows and where the generator is left are part of every seeded
+    # batch; these literals came from the intp sampler before rows were
+    # drawn and sorted as int32
+    rng = stream_rng(12, 0)
+    rows = encoding._redrawn_subsets(t, total, k, rng)
+    assert rows.dtype == np.intp
+    assert int((rows * np.arange(1, k + 1)).sum()) == digest
+    assert int(rng.integers(0, 2**31)) == next_draw
+
+
 def test_secret_key_invariants_are_enforced():
     values = np.array([0, 1], dtype=np.uint8)
     with pytest.raises(ValueError):

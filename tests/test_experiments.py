@@ -15,6 +15,7 @@ from privdel.bounds import (
     firstbit_cert,
     firstbit_conditional_success,
 )
+from privdel import encoding
 from privdel._engine import TrialInputs, kernel
 from privdel.encoding import encode, generate_key, random_message
 from privdel.experiments import (
@@ -254,11 +255,15 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
     # its stream) returns that run's verdict, attack outcomes and guess, so
     # the engine and the per-instance API agree run by run, not only in law.
     # A legitimate run hands the kernel the dummy's bits, which it must
-    # replace by the candidate's.
+    # replace by the candidate's. Then all the runs, stacked into one batch,
+    # must give the same rows: that crosses the row-shifted search keys in
+    # both directions (k=1 < n for firstbit, k > n for sample(4), sample(7),
+    # prefix(3) and custom(3)) and the traps-before count across rows.
     m, n, runs = 5, 2, 2_000
     total = m + n
     task = Task.STORAGE if case == "storage" else Task.ERASURE
     legit = np.array([1, 0, 1, 1, 0], dtype=np.uint8) if case == "discr" else None
+    every_inputs, verdicts, every_outcomes = [], [], []
     for i in range(runs):
         rng = stream_rng(505, i)
         if legit is not None:
@@ -299,6 +304,18 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
             guess = discr_guess(record, legit, rng)
             batch_guess = guess_legit(positions, bases, outcomes, int(legit[0]), coin)
             assert bool(batch_guess[0]) == guess, i
+        every_inputs.append(inputs)
+        verdicts.append(accepted)
+        every_outcomes.append(record.outcomes)
+    batch = TrialInputs(
+        *(None if rows[0] is None else np.concatenate(rows) for rows in zip(*every_inputs))
+    )
+    ok, outcomes = kernel(m, task, batch, legit)
+    assert ok.tolist() == verdicts
+    expected = np.stack(every_outcomes)
+    assert outcomes.shape == expected.shape
+    mismatched = np.flatnonzero((outcomes != expected).any(axis=1))
+    assert mismatched.size == 0, mismatched[:5]
 
 
 # -- exact enumeration oracle for the engine kernel ------------------------
@@ -493,6 +510,24 @@ def test_sweep_with_noop_grid_is_all_ones():
 def test_config_rejects_more_attacked_positions_than_the_state_has():
     with pytest.raises(ValueError, match="r=9"):
         ExperimentConfig(m=6, n=2, adversary=RectilinearSample(9))
+
+
+def never_shuffle(*args):
+    raise AssertionError("a refused batch must not be drawn")
+
+
+def test_config_refuses_a_batch_that_cannot_be_allocated(monkeypatch):
+    # the estimate is checked when the config is built; nothing is allocated
+    monkeypatch.setattr(encoding, "_shuffled_subsets", never_shuffle)
+    with pytest.raises(ValueError, match=r"about 213\.6 GiB, over the 2 GiB limit"):
+        ExperimentConfig(m=10**6, n=32, adversary=RectilinearSample(10**6), trials=4096)
+    # the shortest state with a refused batch (all traps but one, every
+    # position attacked), and one position shorter
+    with pytest.raises(ValueError, match="one batch of 4096 runs"):
+        ExperimentConfig(m=1, n=5041, adversary=RectilinearSample(5042), trials=4096)
+    ExperimentConfig(m=1, n=5040, adversary=RectilinearSample(5041), trials=4096)
+    # a batch is min(trials, BATCH_TRIALS) runs
+    ExperimentConfig(m=10**6, n=32, adversary=RectilinearSample(10**6), trials=1)
 
 
 def test_sweep_rejects_empty_input():
