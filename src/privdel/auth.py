@@ -12,24 +12,29 @@ zero-padded message blocks followed by one extra block holding the
 original bit length, which therefore must be below 2^s. s=4 exists solely
 so the security property can be verified by exhausting the key space.
 
-A product a*b is formed one byte of `a` at a time, most significant
-first, with two lookups per byte (high nibble, then low) into `_window(b)`,
-the 16 carry-less products b*j for j < 16. The unreduced product is then
-folded below x^s, as x^s equals the low terms of the reduction polynomial.
-`poly_hash` builds its point's window once.
+Every operation is batch-first over numpy uint64 arrays, and the scalar
+forms are its one-row case. A value of up to 2s bits is held as a pair
+(high, low) split at x^s: `low` holds the bits below x^s, `high` the bits
+from x^s up. Each factor b gets its own window, the 16 carry-less
+products b*j for j < 16. A product a*b then takes s/4 nibble steps, most
+significant nibble of `a` first: the accumulator shifts left by 4 and
+adds the window entry of that nibble. Its high part is then folded below
+x^s, as x^s equals the low terms of the reduction polynomial. For N
+messages, `block_matrix` packs the blocks into one (N, L) matrix, and
+`poly_hash` builds each row's window of its point once and runs Horner's
+rule over the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .encoding import as_bits
 
-#: Irreducible reduction polynomials (with the x^s term included). `_mul`
-#: reads a factor one byte at a time, two nibble lookups per byte; at s=4
-#: the only byte's high nibble is 0 and adds nothing.
+#: Irreducible reduction polynomials (with the x^s term included).
 REDUCTION_POLYS = {
     4: 0b1_0011,  # x^4 + x + 1
     32: (1 << 32) | (1 << 7) | (1 << 3) | (1 << 2) | 1,  # x^32 + x^7 + x^3 + x^2 + 1
@@ -43,47 +48,95 @@ _LOW_TERMS = {
     s: tuple(e for e in range(s) if poly >> e & 1) for s, poly in REDUCTION_POLYS.items()
 }
 
+#: The s bits below x^s, as a uint64 mask.
+_MASKS = {s: np.uint64((1 << s) - 1) for s in REDUCTION_POLYS}
 
-def _element(value, s: int) -> int:
-    """`value` as an int, checked to be an element of GF(2^s)."""
-    value = int(value)
-    if not 0 <= value < 1 << s:
-        raise ValueError(f"{value} is not an element of GF(2^{s})")
-    return value
+#: Bit k of each nibble j, as _NIBBLE_BITS[k, j] in {0, 1}.
+_NIBBLE_BITS = np.arange(16, dtype=np.uint64) >> np.arange(4, dtype=np.uint64)[:, None] & 1
 
 
-def _window(b: int) -> list[int]:
-    """The 16 unreduced carry-less products b*j for j < 16."""
-    table = [0] * 16
-    for j in range(1, 16):
-        table[j] = table[j >> 1] << 1 ^ (b if j & 1 else 0)
-    return table
+def _elements(values, s: int) -> np.ndarray:
+    """`values` as a uint64 array, each checked to be an element of GF(2^s).
+
+    Integer arrays are checked as they are. Anything else goes through
+    Python ints, because numpy makes floats of a list holding 2^63.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = np.array(values, dtype=object)
+        if not all(isinstance(value, (int, np.integer)) for value in values.flat):
+            raise ValueError(f"elements of GF(2^{s}) must be integers")
+    outside = np.asarray((values < 0) | (values >= 1 << s), dtype=bool)
+    if outside.any():
+        raise ValueError(f"{values[outside].flat[0]} is not an element of GF(2^{s})")
+    return values.astype(np.uint64)
 
 
-def _mul(a: int, window: list[int], s: int) -> int:
-    """a*b modulo the width-s reduction polynomial, b given by its window."""
-    acc = 0
-    for byte in a.to_bytes((s + 7) // 8, "big"):
-        acc = acc << 8 ^ window[byte >> 4] << 4 ^ window[byte & 0xF]
-    while high := acc >> s:
-        acc &= (1 << s) - 1
+def _window(b: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) of the 16 carry-less products b*j, j < 16: two (N, 16) arrays.
+
+    b*j is the XOR of b*x^k over the set bits k of j.
+    """
+    shifts = np.arange(4, dtype=np.uint64)[:, None]
+    parts = (b >> (s - 1 - shifts) >> 1, b << shifts & _MASKS[s])  # b*x^k, k < 4
+    high, low = (
+        np.bitwise_xor.reduce(part[:, :, None] * _NIBBLE_BITS[:, None], axis=0)
+        for part in parts
+    )
+    return high, low
+
+
+def _fold(high: np.ndarray, low: np.ndarray, s: int) -> np.ndarray:
+    """high*x^s + low reduced below x^s, by replacing x^s with its low terms."""
+    while high.any():
+        carry = np.zeros_like(high)
         for e in _LOW_TERMS[s]:
-            acc ^= high << e
-    return acc
+            low ^= high << e & _MASKS[s]
+            if e:
+                carry ^= high >> (s - e)
+        high = carry
+    return low
 
 
-def gf_mul(a: int, b: int, s: int) -> int:
-    """Carry-less multiply modulo the width-s reduction polynomial."""
-    return _mul(_element(a, s), _window(_element(b, s)), s)
+def _mul(a: np.ndarray, window: tuple[np.ndarray, np.ndarray], s: int) -> np.ndarray:
+    """a*b modulo the width-s reduction polynomial, row by row; b given by its window."""
+    window_high, window_low = (part.ravel() for part in window)
+    rows = np.arange(0, window_low.size, 16, dtype=np.uint64)
+    high = np.zeros_like(a)
+    low = np.zeros_like(a)
+    for shift in range(s - 4, -1, -4):
+        entry = rows | a >> shift & 15
+        high = high << 4 | low >> (s - 4)
+        low = low << 4 & _MASKS[s]
+        high ^= window_high[entry]
+        low ^= window_low[entry]
+    return _fold(high, low, s)
 
 
-def poly_hash(blocks, x: int, s: int) -> int:
-    """Evaluate sum_i blocks[i-1] * x^i (a constant-free polynomial) at x."""
-    window = _window(_element(x, s))
-    acc = 0
-    for block in reversed(list(blocks)):
-        acc = _mul(acc ^ _element(block, s), window, s)
-    return acc
+def gf_mul(a, b, s: int):
+    """Carry-less multiply modulo the width-s reduction polynomial.
+
+    Elementwise over arrays broadcast together; two scalars give an int.
+    """
+    a, b = np.broadcast_arrays(_elements(a, s), _elements(b, s))
+    product = _mul(a.ravel(), _window(b.ravel(), s), s).reshape(a.shape)
+    return int(product) if product.ndim == 0 else product
+
+
+def poly_hash(blocks, x, s: int):
+    """Evaluate sum_i blocks[i-1] * x^i (a constant-free polynomial) at x.
+
+    One row of blocks and one point give an int. An (N, L) block matrix
+    and N points (or one) give the N row hashes as a uint64 array.
+    """
+    blocks = _elements(blocks if isinstance(blocks, np.ndarray) else list(blocks), s)
+    if blocks.ndim not in (1, 2):
+        raise ValueError("blocks must be one row or a matrix of rows")
+    rows = np.atleast_2d(blocks)
+    window = _window(np.broadcast_to(_elements(x, s), rows.shape[:1]), s)
+    acc = np.zeros(len(rows), np.uint64)
+    for column in rows.T[::-1]:
+        acc = _mul(acc ^ column, window, s)
+    return int(acc[0]) if blocks.ndim == 1 else acc
 
 
 def message_blocks(message, s: int) -> list[int]:
@@ -94,17 +147,35 @@ def message_blocks(message, s: int) -> list[int]:
     messages map to distinct element sequences, so the bit length must fit
     in one field element (below 2^s).
     """
-    bits = as_bits(message)
-    if bits.size == 0:
+    return block_matrix([message], s)[0].tolist()
+
+
+def block_matrix(messages, s: int) -> np.ndarray:
+    """`message_blocks` of N messages as one (N, L) uint64 matrix.
+
+    Row i holds message i's data blocks, its length block in column
+    ceil(len/s), and zeros after it up to the widest row: under Horner,
+    trailing zero blocks leave the hash unchanged.
+    """
+    rows = [as_bits(message) for message in messages]
+    lengths = np.array([row.size for row in rows], dtype=np.int64)
+    if not lengths.all():
         raise ValueError("message must be non-empty")
-    if bits.size >= (1 << s):
-        raise ValueError(f"message of {bits.size} bits too long for width s={s}")
-    # one big-endian integer, byte padding off, zero-padded to whole blocks
-    value = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
-    value <<= -bits.size % s
-    mask = (1 << s) - 1
-    blocks = [value >> shift & mask for shift in range((bits.size - 1) // s * s, -1, -s)]
-    blocks.append(bits.size)
+    longest = int(lengths.max(initial=0))
+    if longest >= 1 << s:
+        raise ValueError(f"message of {longest} bits too long for width s={s}")
+    data_blocks = -(-lengths // s)
+    columns = int(data_blocks.max(initial=0)) + 1
+    bits = np.zeros((len(rows), columns * s), np.uint8)
+    for padded, row in zip(bits, rows):
+        padded[: row.size] = row
+    packed = np.packbits(bits, axis=1)
+    if s % 8:  # s = 4: two blocks to a byte
+        packed = np.stack((packed >> 4, packed & 0xF), axis=2).reshape(len(rows), -1)
+    else:
+        packed = packed.view(f">u{s // 8}")
+    blocks = packed[:, :columns].astype(np.uint64)
+    blocks[np.arange(len(rows)), data_blocks] = lengths
     return blocks
 
 
@@ -146,16 +217,51 @@ def generate_auth_key(s: int, rng: np.random.Generator) -> AuthKey:
     return AuthKey(s, hash_key, pad)
 
 
-def tag(message, key: AuthKey) -> AuthTag:
-    """MAC tag: padded polynomial hash of the encoded message blocks."""
-    digest = poly_hash(message_blocks(message, key.s), key.hash_key, key.s)
-    return AuthTag(key.s, digest ^ key.pad)
+def _digests(messages, keys) -> tuple[int, list[int]]:
+    """The keys' one width, and the padded hash of each message under its own key."""
+    keys = list(keys)
+    widths = {key.s for key in keys}
+    if len(widths) != 1:
+        raise ValueError(f"a batch needs keys of one width, got widths {sorted(widths)}")
+    s = widths.pop()
+    blocks = block_matrix(messages, s)
+    if len(blocks) != len(keys):
+        raise ValueError(f"{len(blocks)} messages for {len(keys)} keys")
+    points, pads = np.array([(key.hash_key, key.pad) for key in keys], np.uint64).T
+    return s, (poly_hash(blocks, points, s) ^ pads).tolist()
 
 
-def verify_tag(message, candidate: AuthTag, key: AuthKey) -> bool:
-    if candidate.s != key.s:
-        return False
-    return tag(message, key).value == candidate.value
+def tag(message, key: AuthKey | Sequence[AuthKey]) -> AuthTag | list[AuthTag]:
+    """MAC tag: padded polynomial hash of the encoded message blocks.
+
+    A sequence of keys of one width tags a sequence of messages pair by
+    pair, in one batch, and gives the list of tags.
+    """
+    single = isinstance(key, AuthKey)
+    if single:
+        message, key = [message], [key]
+    s, digests = _digests(message, key)
+    tags = [AuthTag(s, digest) for digest in digests]
+    return tags[0] if single else tags
+
+
+def verify_tag(
+    message, candidate: AuthTag | Sequence[AuthTag], key: AuthKey | Sequence[AuthKey]
+) -> bool | np.ndarray:
+    """True iff `candidate` is the tag of `message` under `key`, of the key's width.
+
+    Batched like `tag`: sequences of messages, candidates and keys give a
+    bool array with one verdict per triple.
+    """
+    single = isinstance(key, AuthKey)
+    if single:
+        message, candidate, key = [message], [candidate], [key]
+    s, digests = _digests(message, key)
+    verdicts = [
+        given.s == s and given.value == digest
+        for given, digest in zip(candidate, digests, strict=True)
+    ]
+    return verdicts[0] if single else np.array(verdicts, dtype=bool)
 
 
 def auth_key_to_hex(key: AuthKey) -> str:

@@ -226,14 +226,26 @@ def key_to_json(key: SecretKey) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """`value` if it is a JSON integer; a float, string or bool is refused, not cast."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def key_from_json(obj: dict) -> SecretKey:
     """Inverse of `key_to_json`; any malformed object raises ValueError."""
     try:
-        positions = np.asarray(obj["trap_positions"], dtype=np.intp)
+        m, n = _json_int(obj["m"], "m"), _json_int(obj["n"], "n")
+        raw_positions = obj["trap_positions"]
+        if not isinstance(raw_positions, list) or len(raw_positions) != n:
+            raise ValueError("trap positions must be a list of n integers")
+        positions = np.array(
+            [_json_int(p, "a trap position") for p in raw_positions], dtype=np.intp
+        )
+        if not isinstance(obj["trap_values"], str):
+            raise ValueError("trap values must be a string of 0s and 1s")
         values = as_bits(obj["trap_values"])
-        m, n = int(obj["m"]), int(obj["n"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed key object: {exc!r}") from exc
-    if positions.ndim != 1 or positions.size != n:
-        raise ValueError("trap positions must be a list of n integers")
     return SecretKey(m + n, positions, values)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from privdel import acceptance, bounds
+from privdel import acceptance, auth, bounds
 from privdel.encoding import key_length_bits
 from privdel.experiments import stream_rng
 
@@ -133,3 +133,32 @@ def test_packed_forgery_predicate_on_planted_rows(limit):
         h = base ^ np.concatenate([np.zeros((1, 16), np.uint8), diffs])
         assert sort_multiplicity_ok(h[1:] ^ h[0], limit) == ok
         assert packed_ok(h[:1], h[1:], limit) == ok  # equal-length form
+
+
+def test_wegman_carter_reports_the_first_failing_round_trip(monkeypatch):
+    batched_tag = auth.tag
+    tagged = 0  # round-trip instances tagged in earlier batches
+
+    def mistag(message, key):
+        nonlocal tagged
+        tags = batched_tag(message, key)
+        if isinstance(tags, list):  # a round-trip batch
+            for i in (4321, 7000):
+                if tagged <= i < tagged + len(tags):
+                    good = tags[i - tagged]
+                    tags[i - tagged] = auth.AuthTag(good.s, good.value ^ 1)
+            tagged += len(tags)
+        return tags
+
+    monkeypatch.setattr(auth, "tag", mistag)
+    result = acceptance.check_wegman_carter()
+    assert not result.passed
+    assert result.detail == "round trip failed at instance 4321"
+
+    # a tag of another width fails only its own pair of a batch
+    rng = stream_rng(41, 0)
+    keys = [auth.generate_auth_key(32, rng) for _ in range(3)]
+    messages = [np.ones(length, np.uint8) for length in (1, 40, 70)]
+    tags = batched_tag(messages, keys)
+    tags[1] = auth.AuthTag(64, tags[1].value)
+    assert auth.verify_tag(messages, tags, keys).tolist() == [True, False, True]

@@ -11,6 +11,7 @@ from privdel.auth import (
     AuthTag,
     REDUCTION_POLYS,
     auth_key_to_hex,
+    block_matrix,
     generate_auth_key,
     gf_mul,
     message_blocks,
@@ -35,6 +36,14 @@ def schoolbook_mul(a, b, s):
         if a & top:
             a ^= poly
     return result
+
+
+def schoolbook_hash(blocks, x, s):
+    """Horner's rule over the schoolbook multiply: the oracle of `poly_hash`."""
+    acc = 0
+    for block in reversed(blocks):
+        acc = schoolbook_mul(acc ^ block, x, s)
+    return acc
 
 
 def loop_blocks(bits, s):
@@ -98,11 +107,23 @@ def test_gf_mul_matches_schoolbook_at_wide_widths(s):
     pairs += [(a, b) for a in randoms[:20] for b in edges]
     for a, b in pairs:
         assert gf_mul(a, b, s) == schoolbook_mul(a, b, s)
+    # the same pairs in one batch, from Python ints and from uint64 arrays
+    left, right = (list(column) for column in zip(*pairs))
+    expected = [schoolbook_mul(a, b, s) for a, b in pairs]
+    assert gf_mul(left, right, s).tolist() == expected
+    left, right = np.array(left, np.uint64), np.array(right, np.uint64)
+    assert gf_mul(left, right, s).tolist() == expected
 
 
-@pytest.mark.parametrize("a, b", [(0x10, 1), (1, 0x10), (-1, 1), (3, -2), (1 << 64, 1)])
+@pytest.mark.parametrize(
+    "a, b",
+    [(0x10, 1), (1, 0x10), (-1, 1), (3, -2), (1 << 64, 1),
+     (np.array([1, 0x10]), 1), (np.array([2, 3]), np.array([-1, 1])),
+     (np.array([1, 0x10], np.uint64), [2, 3]), ([1, 1 << 64], 1), ([1, 2], [3, 2.0])],
+)
 def test_gf_mul_rejects_operands_outside_the_field(a, b):
-    # 0x10 is x^4, which GF(16) holds only reduced (as x + 1 = 3)
+    # 0x10 is x^4, which GF(16) holds only reduced (as x + 1 = 3); a Python
+    # int past 64 bits is refused as out of the field, not as an overflow
     with pytest.raises(ValueError):
         gf_mul(a, b, 4)
 
@@ -110,7 +131,11 @@ def test_gf_mul_rejects_operands_outside_the_field(a, b):
 @pytest.mark.parametrize(
     "blocks, x, s",
     [([0x10], 1, 4), ([1], 0x10, 4), ([1, 2, 16, 3], 5, 4), ([-1], 3, 4),
-     ([1 << 32], 7, 32), ([1], -1, 64), ([1, 1 << 64], 2, 64)],
+     ([1 << 32], 7, 32), ([1], -1, 64), ([1, 1 << 64], 2, 64),
+     (np.array([[1, 2], [3, 16]]), np.array([1, 2]), 4),
+     (np.array([[1], [2]], np.uint64), np.array([3, 1 << 32], np.uint64), 32),
+     ([[1], [1 << 64]], [2, 3], 64), (np.array([[1]]), np.array([-1]), 64),
+     ([[1, 2]], [1 << 64], 64), ([[1, 2]], [2.5], 64)],
 )
 def test_poly_hash_rejects_elements_outside_the_field(blocks, x, s):
     with pytest.raises(ValueError):
@@ -174,10 +199,23 @@ def test_message_blocks_packing():
 def test_message_blocks_match_the_bit_loop(s, longest):
     # every length across byte and block boundaries, random bits per length
     rng = stream_rng(300 + s, 0)
+    messages = []
     for length in range(1, longest + 1):
         bits = rng.integers(0, 2, length, dtype=np.uint8)
         assert message_blocks(bits, s) == loop_blocks(bits, s)
         assert message_blocks(np.ones(length, np.uint8), s) == loop_blocks([1] * length, s)
+        messages += [bits, np.ones(length, np.uint8)]
+    # all lengths in one ragged batch: each row is the loop's blocks, then
+    # zeros; hashed under keys 0, 1, 2^s - 1 and random ones, each row
+    # matches Horner over the schoolbook multiply
+    matrix = block_matrix(messages, s)
+    randoms = rng.integers(0, 1 << s, len(messages), dtype=np.uint64)
+    keys = [(0, 1, (1 << s) - 1, int(r))[i % 4] for i, r in enumerate(randoms)]
+    hashes = poly_hash(matrix, np.array(keys, np.uint64), s)
+    for row, bits, key, digest in zip(matrix.tolist(), messages, keys, hashes.tolist()):
+        blocks = loop_blocks(bits, s)
+        assert row == blocks + [0] * (len(row) - len(blocks))
+        assert digest == schoolbook_hash(blocks, key, s)
 
 
 _TEXT = np.unpackbits(np.frombuffer(b"proving erasure", dtype=np.uint8))  # 120 bits

@@ -181,8 +181,15 @@ def test_batch_too_large_to_allocate_exits_two(monkeypatch, capsys):
         '{"m": 8, "n": 2, "trap_positions": [1, 10], "trap_values": "01"}',
         '{"m": 8, "n": 2, "trap_positions": [-1, 4], "trap_values": "01"}',
         '[1, 4]',
+        '{"m": 8, "n": 2, "trap_positions": [1.5, 4], "trap_values": "01"}',
+        '{"m": 8, "n": 2, "trap_positions": ["1", "4"], "trap_values": "01"}',
+        '{"m": 8, "n": 2, "trap_positions": [true, 4], "trap_values": "01"}',
+        '{"m": 8.7, "n": 2, "trap_positions": [1, 4], "trap_values": "01"}',
     ],
-    ids=["missing", "bad-json", "missing-field", "past-end", "negative", "not-object"],
+    ids=[
+        "missing", "bad-json", "missing-field", "past-end", "negative", "not-object",
+        "float-position", "string-position", "bool-position", "float-m",
+    ],
 )
 def test_bad_key_file_exits_two(tmp_path, capsys, content):
     key_path = tmp_path / "key.json"
@@ -391,13 +398,16 @@ def test_check_single_green_criterion(capsys):
 
 
 def test_check_single_red_criterion(capsys):
-    code, out = run_cli(["--check", "--only", "key_length"], capsys)
+    code = main(["--check", "--only", "key_length"])
+    captured = capsys.readouterr()
     assert code == 1
-    assert out.splitlines() == [
+    assert captured.out.splitlines() == [
         "FAIL key_length: shorthand n*log2(m) = 637.8 is 15.51% from the exact "
         "552.1 bits (gate: 8%)",
         "0/1 criteria passed",
     ]
+    # the elapsed time goes to stderr only, so stdout stays byte-identical
+    assert re.fullmatch(r"key_length: \d+\.\d{3} s\n", captured.err)
 
 
 def test_check_unknown_criterion(capsys):
