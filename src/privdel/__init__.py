@@ -33,6 +33,7 @@ from .parties import (
     FirstBit,
     Honest,
     NoOp,
+    NonTraps,
     PositionChoice,
     RectilinearSample,
     StorageCert,

@@ -11,10 +11,12 @@ O(n + k), whatever m is.
 
 `run_batch` is a draw step and a pure kernel. `draw` takes every random
 input of t runs from the stream: traps from `encoding.uniform_subsets`,
-the attack from the strategy's own `sites`, message bits only at the
-attacked positions, and one uniform per measurement. `kernel` maps those
-arrays to verdicts and attack outcomes through `qubit.measure_sites`,
-and guesses come from `parties.guess_legit`.
+the attack from the strategy's own `sites`, which may read the traps just
+drawn (`parties.NonTraps` attacks every non-trap position), message bits
+only at the attacked positions, and one uniform per measurement. `kernel`
+maps those arrays to verdicts, attack outcomes and the attacked sites as
+the attack left them, through `qubit.measure_sites`, and guesses come
+from `parties.guess_legit`.
 The per-instance API in `parties` runs the same steps on whole states;
 it draws its stream in another order, so the two agree in law, and the
 kernel fed one such run's draws returns that run's verdict and outcomes.
@@ -76,7 +78,7 @@ def draw(
     is_legit = rng.integers(0, 2, t, dtype=np.uint8).astype(bool) if discr else None
     traps = uniform_subsets(t, total, n, rng)
     trap_values = rng.integers(0, 2, (t, n), dtype=np.uint8)
-    attack = adversary.sites(t, total, rng)
+    attack = adversary.sites(t, total, rng, traps)
     if attack is None:
         attack = (np.empty((t, 0), dtype=np.intp), np.empty((t, 0), dtype=np.uint8))
     k = attack[0].shape[1]
@@ -89,9 +91,9 @@ def draw(
 
 def kernel(
     m: int, task: Task, inputs: TrialInputs, legit: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t,) acceptance verdicts and (t, k) attack outcomes, a pure function
-    of the inputs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t,) acceptance verdicts, (t, k) attack outcomes and the (t, k)
+    attacked sites as the attack left them, a pure function of the inputs.
 
     A non-trap attacked position p holds message bit p - (traps before p):
     the candidate's bit in a legitimate run, the fresh bit otherwise. An
@@ -120,9 +122,9 @@ def kernel(
         outcomes = measure_sites(sites, ..., bases, attack_u)
         flat_traps[trap_at] = flat_sites[site_at]
     else:
-        outcomes = np.empty((t, 0), dtype=np.uint8)
+        sites = outcomes = np.empty((t, 0), dtype=np.uint8)
     checks = measure_sites(trap_sites, ..., Basis.DIAGONAL, check_u[:, :n])
-    return (checks == trap_values).all(axis=1), outcomes
+    return (checks == trap_values).all(axis=1), outcomes, sites
 
 
 def _matches(
@@ -197,7 +199,7 @@ def run_batch(
     counts; fallback guess coins are drawn last.
     """
     inputs = draw(m, n, task, adversary, t, rng, discr=legit is not None)
-    accepted, outcomes = kernel(m, task, inputs, legit)
+    accepted, outcomes, _ = kernel(m, task, inputs, legit)
     if legit is None:
         return BatchTally(int(accepted.sum()), 0, 0)
     guesses = guess_legit(inputs.positions, inputs.bases, outcomes, int(legit[0]), rng)

@@ -155,9 +155,19 @@ def block_matrix(messages, s: int) -> np.ndarray:
 
     Row i holds message i's data blocks, its length block in column
     ceil(len/s), and zeros after it up to the widest row: under Horner,
-    trailing zero blocks leave the hash unchanged.
+    trailing zero blocks leave the hash unchanged. uint8 arrays skip
+    `as_bits`; the bits of all messages are checked in one pass.
     """
-    rows = [as_bits(message) for message in messages]
+    rows = [
+        message if isinstance(message, np.ndarray) and message.dtype == np.uint8
+        else as_bits(message)
+        for message in messages
+    ]
+    if any(row.ndim != 1 for row in rows):
+        raise ValueError("bit sequence must be one-dimensional")
+    flat = np.concatenate(rows) if rows else np.zeros(0, np.uint8)
+    if flat.max(initial=0) > 1:
+        raise ValueError("bit sequence may contain only 0 and 1")
     lengths = np.array([row.size for row in rows], dtype=np.int64)
     if not lengths.all():
         raise ValueError("message must be non-empty")
@@ -167,8 +177,7 @@ def block_matrix(messages, s: int) -> np.ndarray:
     data_blocks = -(-lengths // s)
     columns = int(data_blocks.max(initial=0)) + 1
     bits = np.zeros((len(rows), columns * s), np.uint8)
-    for padded, row in zip(bits, rows):
-        padded[: row.size] = row
+    bits[np.arange(columns * s) < lengths[:, None]] = flat
     packed = np.packbits(bits, axis=1)
     if s % 8:  # s = 4: two blocks to a byte
         packed = np.stack((packed >> 4, packed & 0xF), axis=2).reshape(len(rows), -1)

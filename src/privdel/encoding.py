@@ -25,14 +25,24 @@ Message = np.ndarray
 
 
 def as_bits(bits) -> np.ndarray:
-    """Coerce a bit sequence (list, string of 0/1, array) to a uint8 array."""
+    """Coerce a bit sequence (list, string of 0/1, array) to a uint8 array.
+
+    Values are checked before the cast, so 257, -255 or 0.7 raise rather
+    than wrap or truncate to a bit. A uint8 array needs only its maximum
+    checked.
+    """
     if isinstance(bits, str):
         arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    if arr.dtype != np.uint8:
+        zero, one = ("0", "1") if arr.dtype.kind == "U" else (0, 1)
+        if not ((arr == zero) | (arr == one)).all():
+            raise ValueError("bit sequence may contain only 0 and 1")
+        arr = arr.astype(np.uint8)
+    elif arr.size and arr.max() > 1:
         raise ValueError("bit sequence may contain only 0 and 1")
     return arr
 

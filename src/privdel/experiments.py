@@ -85,13 +85,14 @@ class ExperimentConfig:
             raise ValueError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.adversary.attacked > self.m + self.n:
+        attacked = self.adversary.attacked(self.m, self.n)
+        if attacked > self.m + self.n:
             raise ValueError(
                 f"adversary {self.adversary.label} attacks more than the "
                 f"m+n={self.m + self.n} positions"
             )
         t = min(self.trials, BATCH_TRIALS)
-        needed = batch_bytes(t, self.m, self.n, self.adversary.attacked)
+        needed = batch_bytes(t, self.m, self.n, attacked)
         if needed > MAX_BATCH_BYTES:
             raise ValueError(
                 f"one batch of {t} runs needs about {needed / 2**30:.1f} GiB, "
@@ -231,7 +232,7 @@ def report_row(config: ExperimentConfig, report: ExperimentReport) -> dict:
         "n": config.n,
         "task": config.task.value,
         "adversary": adversary_label(config.adversary),
-        "r": config.adversary.attacked,
+        "r": config.adversary.attacked(config.m, config.n),
         "trials": report.trials,
         "estimate": report.estimate,
         "ci95": report.ci95_halfwidth,

@@ -14,7 +14,9 @@ runs t of them at once through the same pieces (the measurement rule in
 and `guess_legit`, the one guessing rule) but holds only each run's trap
 and attacked sites and draws its stream in another order. So a batch
 agrees with these runs in law; fed the draws of one of them, its kernel
-returns that run's verdict and attack outcomes.
+returns that run's verdict and attack outcomes. A strategy's `sites` may
+read the traps the engine has just drawn; here the attack has no key,
+so a strategy that needs the traps (`NonTraps`) is refused.
 """
 
 from __future__ import annotations
@@ -52,11 +54,15 @@ class PositionChoice(Enum):
 # adversary strategies
 #
 # A strategy is the one place that knows what it attacks: `sites(t, total,
-# rng)` draws (t, k) row-sorted positions and their bases for t runs, or
-# returns None when nothing is attacked. It also carries its report `label`,
-# its `attacked` count and its closed-form references, where known.
+# rng, traps)` draws (t, k) row-sorted positions and their bases for t runs,
+# or returns None when nothing is attacked. `traps` holds the runs' (t, n)
+# row-sorted trap positions, or None when the attacker runs without a key;
+# only a planted diagnostic reads them. A strategy also carries its report
+# `label`, its `attacked(m, n)` count and its closed-form references, where
+# known.
 
 AttackSites = Optional[tuple[np.ndarray, np.ndarray]]
+Traps = Optional[np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +70,13 @@ class NoOp:
     """Touch nothing."""
 
     label = "noop"
-    attacked = 0
 
-    def sites(self, t: int, total: int, rng: np.random.Generator) -> AttackSites:
+    def attacked(self, m: int, n: int) -> int:
+        return 0
+
+    def sites(
+        self, t: int, total: int, rng: np.random.Generator, traps: Traps
+    ) -> AttackSites:
         return None
 
     def analytic_cert(self, m: int, n: int) -> Optional[float]:
@@ -96,11 +106,12 @@ class RectilinearSample:
     def label(self) -> str:
         return f"sample(r={self.r},{self.position_choice.value})"
 
-    @property
-    def attacked(self) -> int:
+    def attacked(self, m: int, n: int) -> int:
         return self.r
 
-    def sites(self, t: int, total: int, rng: np.random.Generator) -> AttackSites:
+    def sites(
+        self, t: int, total: int, rng: np.random.Generator, traps: Traps
+    ) -> AttackSites:
         if self.r > total:
             raise ValueError(f"r={self.r} exceeds state length {total}")
         if self.r == 0:
@@ -125,9 +136,13 @@ class FirstBit:
     """Measure only position 0 in the rectilinear basis."""
 
     label = "firstbit"
-    attacked = 1
 
-    def sites(self, t: int, total: int, rng: np.random.Generator) -> AttackSites:
+    def attacked(self, m: int, n: int) -> int:
+        return 1
+
+    def sites(
+        self, t: int, total: int, rng: np.random.Generator, traps: Traps
+    ) -> AttackSites:
         return np.zeros((t, 1), dtype=np.intp), np.zeros((t, 1), dtype=np.uint8)
 
     def analytic_cert(self, m: int, n: int) -> Optional[float]:
@@ -142,9 +157,8 @@ class Custom:
     """Measure an explicit set of positions, each in its own basis.
 
     Positions not listed are skipped. Only the rectilinear and diagonal
-    bases are allowed. Used for planted diagnostics (for example measuring
-    exactly the non-trap positions). Its acceptance law depends on the key,
-    so it has no closed-form references.
+    bases are allowed. Used for planted diagnostics at fixed positions. Its
+    acceptance law depends on the key, so it has no closed-form references.
     """
 
     positions: np.ndarray
@@ -167,11 +181,12 @@ class Custom:
     def label(self) -> str:
         return f"custom({self.positions.size})"
 
-    @property
-    def attacked(self) -> int:
+    def attacked(self, m: int, n: int) -> int:
         return self.positions.size
 
-    def sites(self, t: int, total: int, rng: np.random.Generator) -> AttackSites:
+    def sites(
+        self, t: int, total: int, rng: np.random.Generator, traps: Traps
+    ) -> AttackSites:
         if self.positions.size and self.positions[-1] >= total:
             raise ValueError("custom position out of range")
         positions = self.positions[None].repeat(t, axis=0)
@@ -184,7 +199,48 @@ class Custom:
         return None
 
 
-AdversaryStrategy = Union[NoOp, RectilinearSample, FirstBit, Custom]
+@dataclass(frozen=True, slots=True)
+class NonTraps:
+    """Measure exactly the m non-trap positions of each run, in one basis.
+
+    A planted diagnostic that knows the key: it reads the runs' traps, so
+    only the engine, which has drawn them, can run it. In the rectilinear
+    basis it reads every message bit and, as the traps go untouched, is
+    never detected; in the diagonal basis it reads fair coins, equally
+    undetected.
+    """
+
+    basis: Basis = Basis.RECTILINEAR
+
+    def __post_init__(self) -> None:
+        Basis(self.basis)  # ValueError for anything but the two bases
+
+    @property
+    def label(self) -> str:
+        return f"nontraps({Basis(self.basis).name.lower()})"
+
+    def attacked(self, m: int, n: int) -> int:
+        return m
+
+    def sites(
+        self, t: int, total: int, rng: np.random.Generator, traps: Traps
+    ) -> AttackSites:
+        if traps is None:
+            raise ValueError("NonTraps must know the traps, and this attack has no key")
+        free = np.ones((t, total), dtype=bool)
+        np.put_along_axis(free, traps, False, axis=1)
+        positions = np.broadcast_to(np.arange(total), free.shape)[free]
+        positions = positions.reshape(t, total - traps.shape[1])
+        return positions, np.full(positions.shape, self.basis, dtype=np.uint8)
+
+    def analytic_cert(self, m: int, n: int) -> Optional[float]:
+        return 1.0
+
+    def analytic_discr(self, m: int, n: int) -> Optional[float]:
+        return None
+
+
+AdversaryStrategy = Union[NoOp, RectilinearSample, FirstBit, Custom, NonTraps]
 
 
 @dataclass(slots=True)
@@ -214,9 +270,10 @@ def adversary_intervene(
     Each attacked position is measured once in the strategy's basis; the
     collapse is the resent state. Untouched positions pass through
     unchanged. Returns the (same) state and the adversary's record. The
-    attack is row 0 of the strategy's t=1 draw.
+    attack is row 0 of the strategy's t=1 draw, made without the key, so a
+    strategy that reads the traps (`NonTraps`) raises ValueError.
     """
-    attack = strategy.sites(1, len(state), rng)
+    attack = strategy.sites(1, len(state), rng, None)
     if attack is None:
         return state, EavesdropRecord(*_EMPTY_RECORD_ARGS)
     positions, bases = attack[0][0], attack[1][0]

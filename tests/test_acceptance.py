@@ -66,6 +66,10 @@ def test_criterion(check):
         assert_key_length_red(result)
     else:
         assert result.passed, f"{result.name}: {result.detail}"
+    if result.name == "rectilinear_transparency":
+        assert result.detail == (
+            "adversary read M and passed certification in 100000/100000 runs"
+        )
 
 
 def test_enumeration_oracle_is_the_exact_law():
@@ -133,6 +137,50 @@ def test_packed_forgery_predicate_on_planted_rows(limit):
         h = base ^ np.concatenate([np.zeros((1, 16), np.uint8), diffs])
         assert sort_multiplicity_ok(h[1:] ^ h[0], limit) == ok
         assert packed_ok(h[:1], h[1:], limit) == ok  # equal-length form
+
+
+def corrupt_accepted(accepted, outcomes, sites, row):
+    accepted[row] = False
+
+
+def corrupt_outcomes(accepted, outcomes, sites, row):
+    outcomes[row, 7] ^= 1
+
+
+def corrupt_sites(accepted, outcomes, sites, row):
+    sites[row, 7] ^= 1  # a rectilinear site of the other bit
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (corrupt_outcomes, "adversary misread M"),
+        (corrupt_accepted, "rejected"),
+        (corrupt_sites, "verifier misread M"),
+    ],
+    ids=["outcomes", "accepted", "sites"],
+)
+def test_rectilinear_transparency_names_the_first_failing_trial(
+    monkeypatch, corrupt, problem
+):
+    # one bad row in the second batch is reported by its index over all
+    # batches, and by the one check it fails
+    batched_kernel = acceptance.kernel
+    batches, row = 0, 37
+
+    def kernel(*args):
+        nonlocal batches
+        result = batched_kernel(*args)
+        batches += 1
+        if batches == 2:
+            corrupt(*result, row)
+        return result
+
+    monkeypatch.setattr(acceptance, "kernel", kernel)
+    result = acceptance.check_rectilinear_transparency(acceptance.BATCH_TRIALS + 100)
+    assert batches == 2
+    assert not result.passed
+    assert result.detail == f"{problem} at trial {acceptance.BATCH_TRIALS + row}"
 
 
 def test_wegman_carter_reports_the_first_failing_round_trip(monkeypatch):

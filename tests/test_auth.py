@@ -335,6 +335,25 @@ def test_hex_forms_are_zero_padded_to_the_width():
     assert tag_to_hex(AuthTag(64, 0x2A)) == "000000000000002a"
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.array([0, 2, 1], np.uint8), "only 0 and 1"),
+        ([0, 257], "only 0 and 1"),
+        ("012", "only 0 and 1"),
+        (np.ones((2, 2), np.uint8), "one-dimensional"),
+        ("", "non-empty"),
+        ("1" * 16, "too long"),
+    ],
+    ids=["uint8-2", "list-257", "string-2", "two-dimensional", "empty", "too-long"],
+)
+def test_block_matrix_refuses_a_bad_message_anywhere_in_the_batch(bad, error):
+    good = np.array([1, 0, 1], np.uint8)
+    for messages in ([bad], [good, bad], [bad, "1011", good]):
+        with pytest.raises(ValueError, match=error):
+            block_matrix(messages, 4)
+
+
 def test_auth_key_validation():
     with pytest.raises(ValueError):
         AuthKey(5, 0, 0)

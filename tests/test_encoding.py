@@ -249,3 +249,21 @@ def test_bit_string_helpers():
     assert as_bits("10").tolist() == [1, 0]
     with pytest.raises(ValueError):
         as_bits("102")
+    for bits in ([1, 0, 1], [True, False, True], np.array([1.0, 0.0, 1.0]), ["1", "0", "1"]):
+        assert as_bits(bits).tolist() == [1, 0, 1]
+    array = np.array([1, 0, 1], dtype=np.uint8)
+    assert as_bits(array) is array
+    assert as_bits([]).dtype == np.uint8
+    with pytest.raises(ValueError, match="one-dimensional"):
+        as_bits([[0, 1]])
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [np.array([257, 0]), [0.7, 1.0], np.array([-255]), [2, 0], np.array([1.0, np.nan])],
+    ids=["257", "0.7", "-255", "list-2", "nan"],
+)
+def test_as_bits_refuses_non_bits_before_casting(bits):
+    # a uint8 cast would wrap 257 and -255 to 1 and truncate 0.7 to 0
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        as_bits(bits)

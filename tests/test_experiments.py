@@ -35,6 +35,7 @@ from privdel.parties import (
     FirstBit,
     HONEST,
     NoOp,
+    NonTraps,
     PositionChoice,
     RectilinearSample,
     Task,
@@ -273,7 +274,7 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
         message = legit if legit is not None and is_legit else dummy
         replay = copy.deepcopy(rng)
         state, record = adversary_intervene(encode(message, key), adversary, rng)
-        attack = adversary.sites(1, total, replay)
+        attack = adversary.sites(1, total, replay, key.trap_positions[None])
         if attack is None:
             attack = (np.empty((1, 0), dtype=np.intp), np.empty((1, 0), dtype=np.uint8))
         positions, bases = attack
@@ -296,7 +297,7 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
             attack_u,
             check_u,
         )
-        ok, outcomes = kernel(m, task, inputs, legit)
+        ok, outcomes, _ = kernel(m, task, inputs, legit)
         assert bool(ok[0]) == accepted, i
         assert np.array_equal(outcomes[0], record.outcomes), i
         if legit is not None:
@@ -310,7 +311,7 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
     batch = TrialInputs(
         *(None if rows[0] is None else np.concatenate(rows) for rows in zip(*every_inputs))
     )
-    ok, outcomes = kernel(m, task, batch, legit)
+    ok, outcomes, _ = kernel(m, task, batch, legit)
     assert ok.tolist() == verdicts
     expected = np.stack(every_outcomes)
     assert outcomes.shape == expected.shape
@@ -380,7 +381,7 @@ def test_kernel_acceptance_is_the_exact_law_by_enumeration(m, n, task):
                     attack_u,
                     check_u,
                 )
-                ok, outcomes = kernel(m, task, inputs)
+                ok, outcomes, _ = kernel(m, task, inputs)
                 assert outcomes.shape == (t, r)
                 accepted += int(ok.sum())
                 runs += t
@@ -417,7 +418,7 @@ def test_kernel_firstbit_is_exact_by_enumeration(m, n, task):
             attack_u,
             check_u,
         )
-        ok, outcomes = kernel(m, task, inputs, legit)
+        ok, outcomes, _ = kernel(m, task, inputs, legit)
         # position 0 is always read rectilinearly, so no fallback coin: rng=None
         guesses = guess_legit(inputs.positions, inputs.bases, outcomes, int(legit[0]), None)
         accepted += int(ok.sum())
@@ -432,6 +433,40 @@ def test_kernel_firstbit_is_exact_by_enumeration(m, n, task):
     assert float(joint / cert) == pytest.approx(
         firstbit_conditional_success(m, n), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("basis", list(Basis), ids=lambda basis: basis.name.lower())
+@pytest.mark.parametrize("task", [Task.STORAGE, Task.ERASURE], ids=lambda task: task.value)
+@pytest.mark.parametrize("m,n", ENUMERATED_SIZES)
+def test_kernel_nontraps_is_exact_by_enumeration(m, n, task, basis):
+    # every trap set, trap values, message and measurement branch: the
+    # attack on exactly the non-trap positions never touches a trap, so
+    # every run is accepted; it reads the message in the rectilinear basis
+    # and its own branch bits in the diagonal one, and leaves those sites
+    total = m + n
+    strategy = NonTraps(basis)
+    check_width = n if task is Task.STORAGE else total
+    accepted = runs = 0
+    for traps in subset_rows(total, n):
+        values, bits, attack_u, check_u = every_row(
+            bit_rows(n), bit_rows(m), uniform_rows(m), uniform_rows(check_width)
+        )
+        t = len(values)
+        trap_rows = np.tile(traps, (t, 1))
+        positions, bases = strategy.sites(t, total, None, trap_rows)
+        held = np.sort(np.concatenate([trap_rows, positions], axis=1))
+        assert (held == np.arange(total)).all()
+        inputs = TrialInputs(
+            trap_rows, values, positions, bases, bits, None, attack_u, check_u
+        )
+        ok, outcomes, sites = kernel(m, task, inputs)
+        read = bits if basis is Basis.RECTILINEAR else (attack_u >= 0.5).astype(np.uint8)
+        assert np.array_equal(outcomes, read)
+        assert np.array_equal(sites, 2 * basis + read)
+        accepted += int(ok.sum())
+        runs += t
+    assert Fraction(accepted, runs) == 1 == strategy.analytic_cert(m, n)
+    assert strategy.attacked(m, n) == m
 
 
 @pytest.mark.parametrize(
@@ -549,6 +584,8 @@ def test_report_row_echoes_the_parameter_set():
             firstbit_conditional_success(m, n),
         ),
         (Custom([1, 4, 9], Basis.RECTILINEAR), "custom(3)", 3, None, None),
+        (NonTraps(), "nontraps(rectilinear)", m, 1.0, None),
+        (NonTraps(Basis.DIAGONAL), "nontraps(diagonal)", m, 1.0, None),
     )
     for adversary, label, r, analytic, discr_reference in cases:
         config = ExperimentConfig(

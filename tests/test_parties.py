@@ -16,6 +16,7 @@ from privdel.parties import (
     FirstBit,
     HONEST,
     NoOp,
+    NonTraps,
     PositionChoice,
     RectilinearSample,
     StorageCert,
@@ -94,6 +95,10 @@ def test_attack_validation_errors():
         adversary_intervene(state, Custom([9], Basis.RECTILINEAR), rng)
     with pytest.raises(ValueError):
         RectilinearSample(-1)
+    with pytest.raises(ValueError):
+        NonTraps(2)
+    with pytest.raises(ValueError, match="no key"):
+        adversary_intervene(state, NonTraps(Basis.RECTILINEAR), rng)
 
 
 def test_prefix_sampling_measures_the_first_positions():
