@@ -26,7 +26,6 @@ from .encoding import (
     random_message,
 )
 from .parties import (
-    BlindErasureGuess,
     Custom,
     EavesdropRecord,
     ErasureCert,

@@ -56,9 +56,9 @@ class TrialInputs(NamedTuple):
     #: (t, k) uniforms of the attack measurements
     attack_u: np.ndarray
     #: uniforms of the trap check: (t, n) for the storage verifier's trap
-    #: measurements, (t, n+k) for the erasure prover's announcement. Only
-    #: the first n columns, the traps', are read; the rest are drawn so the
-    #: stream stays that of a prover measuring every held site
+    #: measurements, (t, n+k) for the erasure prover's announcement. The
+    #: kernel reads the traps' first n columns; the erasure criterion in
+    #: `acceptance` measures the held attacked sites with the other k
     check_u: np.ndarray
 
 

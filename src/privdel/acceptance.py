@@ -21,7 +21,7 @@ import numpy as np
 
 from . import auth, bounds
 from ._engine import draw, kernel
-from .encoding import generate_key, encode, key_length_bits, random_message
+from .encoding import key_length_bits
 from .experiments import (
     BATCH_TRIALS,
     ExperimentConfig,
@@ -31,15 +31,7 @@ from .experiments import (
     stream_rng,
 )
 from .qubit import EIGENSTATES, Basis, measure_sites
-from .parties import (
-    FirstBit,
-    HONEST,
-    NonTraps,
-    RectilinearSample,
-    Task,
-    prover_respond,
-    verify,
-)
+from .parties import FirstBit, NonTraps, RectilinearSample, Task
 
 SEED = 20260810
 
@@ -238,6 +230,20 @@ def check_firstbit_attack(trials: int = 1_000_000) -> CriterionResult:
 # 5. rectilinear transparency: reading every message bit goes undetected
 
 
+def _snooped_batches(task: Task, seed: int, trials: int):
+    """Batches of runs at (100, 20) under `NonTraps` in the rectilinear basis.
+
+    Batch b runs on ``stream_rng(seed, b)`` and yields its first trial
+    index over all batches, its stream, its inputs and what `kernel` returns.
+    """
+    m, n = 100, 20
+    snoop = NonTraps(Basis.RECTILINEAR)
+    for start in range(0, trials, BATCH_TRIALS):
+        rng = stream_rng(seed, start // BATCH_TRIALS)
+        inputs = draw(m, n, task, snoop, min(BATCH_TRIALS, trials - start), rng)
+        yield start, rng, inputs, *kernel(m, task, inputs)
+
+
 def check_rectilinear_transparency(trials: int = 100_000) -> CriterionResult:
     """Storage runs under `NonTraps` in the rectilinear basis, through the engine.
 
@@ -246,12 +252,8 @@ def check_rectilinear_transparency(trials: int = 100_000) -> CriterionResult:
     first failing run, and its first failing check, is reported by its
     trial index over all batches.
     """
-    m, n = 100, 20
-    snoop = NonTraps(Basis.RECTILINEAR)
-    for start in range(0, trials, BATCH_TRIALS):
-        rng = stream_rng(SEED + 5, start // BATCH_TRIALS)
-        inputs = draw(m, n, Task.STORAGE, snoop, min(BATCH_TRIALS, trials - start), rng)
-        accepted, outcomes, sites = kernel(m, Task.STORAGE, inputs)
+    batches = _snooped_batches(Task.STORAGE, SEED + 5, trials)
+    for start, rng, inputs, accepted, outcomes, sites in batches:
         u = rng.random(sites.shape, dtype=np.float32)
         decoded = measure_sites(sites, ..., Basis.RECTILINEAR, u)
         # the message is the bits at the attacked positions, here all m of them
@@ -282,22 +284,25 @@ def check_rectilinear_transparency(trials: int = 100_000) -> CriterionResult:
 
 
 def check_erasure_randomness(pooled_bits: int = 1_000_000) -> CriterionResult:
+    """Erasure runs under `NonTraps` in the rectilinear basis, through the engine.
+
+    The snoop leaves every message site as it was (criterion 5), so the
+    prover's diagonal announcements of the m attacked sites, drawn with
+    ``check_u[:, n:]``, are exactly an honest run's announcements off the traps.
+    """
     m, n = 100, 20
     trials = (pooled_bits + m - 1) // m
     chunks = []
-    for i in range(trials):
-        rng = stream_rng(SEED + 6, i)
-        message = random_message(m, rng)
-        key = generate_key(m, n, rng)
-        state = encode(message, key)
-        cert = prover_respond(state, HONEST, Task.ERASURE, rng)
-        accepted, _ = verify(cert, key, rng)
-        if not accepted:
+    batches = _snooped_batches(Task.ERASURE, SEED + 6, trials)
+    for start, _, inputs, accepted, _, sites in batches:
+        if not accepted.all():
             return CriterionResult(
-                "erasure_randomness", False, f"honest run rejected at trial {i}"
+                "erasure_randomness",
+                False,
+                f"honest run rejected at trial {start + int(accepted.argmin())}",
             )
-        chunks.append(cert.announced[key.non_trap_positions()])
-    pool = np.concatenate(chunks)[:pooled_bits]
+        chunks.append(measure_sites(sites, ..., Basis.DIAGONAL, inputs.check_u[:, n:]))
+    pool = np.concatenate(chunks, axis=None)[:pooled_bits]
     ones = float(pool.mean())
     tol = 3.0 / (2.0 * math.sqrt(pooled_bits))
     pvalue = runs_test_pvalue(pool)
@@ -347,32 +352,6 @@ def check_key_length() -> CriterionResult:
 # 8. one-time MAC: exhaustive forgery bound and round trip
 
 
-def _gf16_mul_table() -> np.ndarray:
-    elements = np.arange(16)
-    return auth.gf_mul(elements[:, None], elements, 4).astype(np.uint8)
-
-
-def _hash_class(blocks_per_message: int, table: np.ndarray) -> np.ndarray:
-    """H[i, k] = hash of the i-th block-aligned message under hash key k, s=4.
-
-    Messages are all 16^L data-block vectors with the 4L-bit length block
-    appended, hashed by Horner with the multiplication table.
-    """
-    grids = np.meshgrid(
-        *([np.arange(16, dtype=np.uint8)] * blocks_per_message), indexing="ij"
-    )
-    data = np.stack([g.reshape(-1) for g in grids], axis=1)
-    length_block = np.full((data.shape[0], 1), 4 * blocks_per_message, np.uint8)
-    encoded = np.concatenate([data, length_block], axis=1)
-    out = np.zeros((data.shape[0], 16), dtype=np.uint8)
-    for k in range(16):
-        acc = np.zeros(data.shape[0], dtype=np.uint8)
-        for col in range(encoded.shape[1] - 1, -1, -1):
-            acc = table[acc ^ encoded[:, col], k]
-        out[:, k] = acc
-    return out
-
-
 def _pack_rows(hashes: np.ndarray) -> np.ndarray:
     """One uint64 per row of 16 s=4 hashes: the hash under key k at nibble k."""
     shifts = np.arange(0, 64, 4, dtype=np.uint64)
@@ -403,30 +382,23 @@ def _max_multiplicity_ok(pa: np.ndarray, pb: np.ndarray, limit: int) -> bool:
 
 def check_wegman_carter() -> CriterionResult:
     problems = []
-    table = _gf16_mul_table()
-    hashes = {L: _hash_class(L, table) for L in (1, 2, 3)}
-
-    # spot check the vectorized oracle against the reference implementation,
-    # all 200 draws hashed in one batch
-    rng = stream_rng(SEED + 8, 0)
-    spots = []
-    for _ in range(200):
-        L = int(rng.integers(1, 4))
-        idx = int(rng.integers(0, 16**L))
-        spots.append((L, idx, int(rng.integers(0, 16))))
-    messages = [f"{idx:0{4 * L}b}" for L, idx, _ in spots]
-    keys = [k for _, _, k in spots]
-    expected = auth.poly_hash(auth.block_matrix(messages, 4), keys, 4)
-    for (L, idx, k), reference in zip(spots, expected):
-        if hashes[L][idx, k] != reference:
-            problems.append(f"vectorized hash oracle mismatch at L={L}")
-            break
+    # every message of L = 1, 2, 3 data blocks: its blocks, the length block
+    # 4L, then zeros up to 4 columns (trailing zero blocks leave a Horner
+    # hash unchanged); packed[L] holds the hashes of the L-block messages
+    classes = []
+    for L in (1, 2, 3):
+        blocks = np.zeros((16**L, 4), np.uint64)
+        blocks[:, :L] = np.indices((16,) * L).reshape(L, -1).T
+        blocks[:, L] = 4 * L
+        classes.append(blocks)
+    matrix = np.concatenate(classes)
+    hashes = np.stack([auth.poly_hash(matrix, k, 4) for k in range(16)], axis=1)
+    packed = dict(zip((1, 2, 3), np.split(_pack_rows(hashes), [16, 16 + 16**2])))
 
     # equal block counts: difference polynomials have degree <= L, so any
     # forgery (M', delta) succeeds for at most L of the 16 hash keys; the
     # all-zero message's row (the shared length term) against every other
     # row gives every nonzero data difference, by linearity
-    packed = {L: _pack_rows(h) for L, h in hashes.items()}
     for L in (1, 2, 3):
         if not _max_multiplicity_ok(packed[L][:1], packed[L][1:], L):
             problems.append(f"equal-length forgery beats {L}/16 bound at L={L}")

@@ -132,28 +132,19 @@ def poly_hash(blocks, x, s: int):
     if blocks.ndim not in (1, 2):
         raise ValueError("blocks must be one row or a matrix of rows")
     rows = np.atleast_2d(blocks)
-    window = _window(np.broadcast_to(_elements(x, s), rows.shape[:1]), s)
+    # one point gets one window, which `_mul` broadcasts over the rows
+    window = _window(np.atleast_1d(_elements(x, s)), s)
     acc = np.zeros(len(rows), np.uint64)
     for column in rows.T[::-1]:
         acc = _mul(acc ^ column, window, s)
     return int(acc[0]) if blocks.ndim == 1 else acc
 
 
-def message_blocks(message, s: int) -> list[int]:
-    """Field-element encoding of a bit sequence: data blocks, then bit length.
-
-    Bits fill each block most-significant-first; the last data block is
-    zero-padded on the right. The trailing length block makes distinct
-    messages map to distinct element sequences, so the bit length must fit
-    in one field element (below 2^s).
-    """
-    return block_matrix([message], s)[0].tolist()
-
-
 def block_matrix(messages, s: int) -> np.ndarray:
-    """`message_blocks` of N messages as one (N, L) uint64 matrix.
+    """Field-element encoding of N bit sequences, as one (N, L) uint64 matrix.
 
-    Row i holds message i's data blocks, its length block in column
+    Row i holds message i's data blocks (bits most-significant-first, the
+    last block zero-padded on the right), its length block in column
     ceil(len/s), and zeros after it up to the widest row: under Horner,
     trailing zero blocks leave the hash unchanged. uint8 arrays skip
     `as_bits`; the bits of all messages are checked in one pass.

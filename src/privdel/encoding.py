@@ -130,7 +130,9 @@ class SecretKey:
             raise ValueError("trap positions out of range")
         if pos.size > 1 and not (np.diff(pos) > 0).all():
             raise ValueError("trap positions must be strictly increasing")
-        if vals.size and vals.max() > 1:
+        # a uint8 array needs only its maximum checked, other dtypes every value
+        bits = vals.max() <= 1 if vals.dtype == np.uint8 else np.isin(vals, (0, 1)).all()
+        if not bits:
             raise ValueError("trap values must be bits")
 
     @property

@@ -173,6 +173,8 @@ class Custom:
             raise ValueError("positions and bases must have equal length")
         if pos.size != np.unique(pos).size:
             raise ValueError("custom positions must be distinct")
+        if pos.size and pos.min() < 0:
+            raise ValueError("custom positions must be non-negative")
         order = np.argsort(pos)
         self.positions = pos[order]
         self.bases = b[order]
@@ -282,24 +284,13 @@ def adversary_intervene(
 
 
 # --------------------------------------------------------------------------
-# prover strategies and certificates
+# the prover and its certificates
 
 
 @dataclass(frozen=True, slots=True)
 class Honest:
     """Follow the protocol: return the state, or measure-and-announce."""
 
-
-@dataclass(frozen=True, slots=True)
-class BlindErasureGuess:
-    """Fabricate an erasure announcement without touching the state.
-
-    Announces uniform bits; passes verification with probability 2^-n.
-    Exists to exercise the blind-guess floor, not as a protocol role.
-    """
-
-
-ProverStrategy = Union[Honest, BlindErasureGuess]
 
 HONEST = Honest()
 
@@ -319,28 +310,22 @@ Certificate = Union[StorageCert, ErasureCert]
 
 def prover_respond(
     state: EncodedState,
-    strategy: ProverStrategy,
+    strategy: Honest,
     task: Task,
     rng: np.random.Generator,
 ) -> Certificate:
     """Produce the privacy certificate for the given task.
 
-    Honest storage returns the (possibly adversary-disturbed) state
-    untouched. Honest erasure measures every position once in the diagonal
-    basis and announces all outcomes in position order, as a single atomic
-    announcement.
+    The prover follows the protocol (`HONEST`, the one strategy). Storage
+    returns the (possibly adversary-disturbed) state untouched. Erasure
+    measures every position once in the diagonal basis and announces all
+    outcomes in position order, as a single atomic announcement.
     """
-    if isinstance(strategy, Honest):
-        if task is Task.STORAGE:
-            return StorageCert(state)
-        sites = state.sites
-        u = rng.random(sites.shape)
-        return ErasureCert(measure_sites(sites, ..., Basis.DIAGONAL, u))
-    if isinstance(strategy, BlindErasureGuess):
-        if task is not Task.ERASURE:
-            raise ValueError("BlindErasureGuess only applies to the erasure task")
-        return ErasureCert(rng.integers(0, 2, len(state), dtype=np.uint8))
-    raise TypeError(f"unknown prover strategy: {strategy!r}")
+    if task is Task.STORAGE:
+        return StorageCert(state)
+    sites = state.sites
+    u = rng.random(sites.shape)
+    return ErasureCert(measure_sites(sites, ..., Basis.DIAGONAL, u))
 
 
 class VerifyResult(NamedTuple):

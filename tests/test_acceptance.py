@@ -151,17 +151,26 @@ def corrupt_sites(accepted, outcomes, sites, row):
     sites[row, 7] ^= 1  # a rectilinear site of the other bit
 
 
+def transparency(trials):
+    return acceptance.check_rectilinear_transparency(trials)
+
+
+def erasure(trials):
+    return acceptance.check_erasure_randomness(100 * trials)  # m = 100 bits a run
+
+
 @pytest.mark.parametrize(
-    "corrupt, problem",
+    "check, corrupt, problem",
     [
-        (corrupt_outcomes, "adversary misread M"),
-        (corrupt_accepted, "rejected"),
-        (corrupt_sites, "verifier misread M"),
+        (transparency, corrupt_outcomes, "adversary misread M"),
+        (transparency, corrupt_accepted, "rejected"),
+        (transparency, corrupt_sites, "verifier misread M"),
+        (erasure, corrupt_accepted, "honest run rejected"),
     ],
-    ids=["outcomes", "accepted", "sites"],
+    ids=["outcomes", "accepted", "sites", "erasure-accepted"],
 )
 def test_rectilinear_transparency_names_the_first_failing_trial(
-    monkeypatch, corrupt, problem
+    monkeypatch, check, corrupt, problem
 ):
     # one bad row in the second batch is reported by its index over all
     # batches, and by the one check it fails
@@ -177,7 +186,7 @@ def test_rectilinear_transparency_names_the_first_failing_trial(
         return result
 
     monkeypatch.setattr(acceptance, "kernel", kernel)
-    result = acceptance.check_rectilinear_transparency(acceptance.BATCH_TRIALS + 100)
+    result = check(acceptance.BATCH_TRIALS + 100)
     assert batches == 2
     assert not result.passed
     assert result.detail == f"{problem} at trial {acceptance.BATCH_TRIALS + row}"

@@ -14,7 +14,6 @@ from privdel.auth import (
     block_matrix,
     generate_auth_key,
     gf_mul,
-    message_blocks,
     poly_hash,
     tag,
     tag_to_hex,
@@ -47,7 +46,7 @@ def schoolbook_hash(blocks, x, s):
 
 
 def loop_blocks(bits, s):
-    """Bit-by-bit field-element encoding: the oracle of `message_blocks`."""
+    """Bit-by-bit field-element encoding of one message: the oracle of `block_matrix`."""
     blocks = []
     for start in range(0, len(bits), s):
         chunk = bits[start : start + s]
@@ -184,15 +183,20 @@ def test_poly_hash_matches_power_sum(s, data):
     assert poly_hash(blocks, x, s) == direct
 
 
+def blocks_of(message, s):
+    """The one row of `block_matrix` for a single message."""
+    return block_matrix([message], s)[0].tolist()
+
+
 def test_message_blocks_packing():
     # bits fill blocks most-significant-first; length block appended
-    assert message_blocks("0011", 4) == [0x3, 4]
-    assert message_blocks("00110", 4) == [0x3, 0x0, 5]
-    assert message_blocks("1", 4) == [0x8, 1]
+    assert blocks_of("0011", 4) == [0x3, 4]
+    assert blocks_of("00110", 4) == [0x3, 0x0, 5]
+    assert blocks_of("1", 4) == [0x8, 1]
     with pytest.raises(ValueError):
-        message_blocks("", 4)
+        blocks_of("", 4)
     with pytest.raises(ValueError):
-        message_blocks("1" * 16, 4)
+        blocks_of("1" * 16, 4)
 
 
 @pytest.mark.parametrize("s, longest", [(4, 15), (32, 300), (64, 300)])
@@ -202,8 +206,8 @@ def test_message_blocks_match_the_bit_loop(s, longest):
     messages = []
     for length in range(1, longest + 1):
         bits = rng.integers(0, 2, length, dtype=np.uint8)
-        assert message_blocks(bits, s) == loop_blocks(bits, s)
-        assert message_blocks(np.ones(length, np.uint8), s) == loop_blocks([1] * length, s)
+        assert blocks_of(bits, s) == loop_blocks(bits, s)
+        assert blocks_of(np.ones(length, np.uint8), s) == loop_blocks([1] * length, s)
         messages += [bits, np.ones(length, np.uint8)]
     # all lengths in one ragged batch: each row is the loop's blocks, then
     # zeros; hashed under keys 0, 1, 2^s - 1 and random ones, each row
@@ -216,6 +220,10 @@ def test_message_blocks_match_the_bit_loop(s, longest):
         blocks = loop_blocks(bits, s)
         assert row == blocks + [0] * (len(row) - len(blocks))
         assert digest == schoolbook_hash(blocks, key, s)
+    # one point over every row is N copies of that point
+    for key in (0, 1, (1 << s) - 1, int(randoms[0])):
+        copies = np.full(len(messages), key, np.uint64)
+        assert poly_hash(matrix, key, s).tolist() == poly_hash(matrix, copies, s).tolist()
 
 
 _TEXT = np.unpackbits(np.frombuffer(b"proving erasure", dtype=np.uint8))  # 120 bits

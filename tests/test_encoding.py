@@ -153,6 +153,17 @@ def test_secret_key_invariants_are_enforced():
         SecretKey(5, np.array([1, 2]), np.array([0, 2], dtype=np.uint8))
 
 
+def test_secret_key_refuses_non_bit_trap_values_of_any_dtype():
+    # a -1 trap value would encode as the rectilinear site 2*1 - 1
+    positions = np.array([1, 3])
+    for values in ([-1, 0], [0, 2], [0, 256], [0.5, 1.0], ["0", "1"]):
+        with pytest.raises(ValueError, match="bits"):
+            SecretKey(7, positions, np.array(values))
+    for dtype in (np.uint8, np.int64, np.float64, bool):
+        key = SecretKey(7, positions, np.array([1, 0], dtype=dtype))
+        assert encode("10110", key).sites[positions].tolist() == [3, 2]
+
+
 def test_key_length_examples():
     assert key_length_bits(17, 0) == (0.0, 0.0)
     exact, _ = key_length_bits(2, 1)

@@ -45,7 +45,7 @@ from privdel.parties import (
     prover_respond,
     verify,
 )
-from privdel.qubit import Basis
+from privdel.qubit import Basis, measure_sites
 
 
 def three_sigma(p, trials):
@@ -463,6 +463,15 @@ def test_kernel_nontraps_is_exact_by_enumeration(m, n, task, basis):
         read = bits if basis is Basis.RECTILINEAR else (attack_u >= 0.5).astype(np.uint8)
         assert np.array_equal(outcomes, read)
         assert np.array_equal(sites, 2 * basis + read)
+        if task is Task.ERASURE:
+            # the prover's diagonal announcements of the m attacked sites,
+            # from the uniforms past the traps', hit every pattern equally
+            # often for every message
+            announced = measure_sites(sites, ..., Basis.DIAGONAL, check_u[:, n:])
+            weights = 1 << np.arange(m)
+            pairs = (bits @ weights << m) + announced @ weights
+            counts = np.bincount(pairs, minlength=4**m)
+            assert (counts == counts[0]).all()
         accepted += int(ok.sum())
         runs += t
     assert Fraction(accepted, runs) == 1 == strategy.analytic_cert(m, n)

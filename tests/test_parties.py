@@ -10,7 +10,6 @@ from privdel.bounds import cert_exact
 from privdel.encoding import encode, generate_key, random_message
 from privdel.experiments import stream_rng
 from privdel.parties import (
-    BlindErasureGuess,
     Custom,
     ErasureCert,
     FirstBit,
@@ -91,6 +90,8 @@ def test_attack_validation_errors():
         adversary_intervene(state, RectilinearSample(7), rng)
     with pytest.raises(ValueError):
         Custom([1, 1], Basis.RECTILINEAR)
+    with pytest.raises(ValueError, match="non-negative"):
+        Custom([-1], Basis.RECTILINEAR)
     with pytest.raises(ValueError):
         adversary_intervene(state, Custom([9], Basis.RECTILINEAR), rng)
     with pytest.raises(ValueError):
@@ -236,23 +237,6 @@ def test_erasure_announcement_stays_uniform_under_rectilinear_snooping():
         pooled.append(cert.announced[key.non_trap_positions()])
     bits = np.concatenate(pooled)
     assert abs(bits.mean() - 0.5) <= 3 * 0.5 / math.sqrt(bits.size)
-
-
-def test_blind_erasure_guess_hits_the_floor():
-    n, trials = 3, 40_000
-    accepted = 0
-    for i in range(trials):
-        rng, key, message, state = make_instance(5, n, 14, i)
-        cert = prover_respond(state, BlindErasureGuess(), Task.ERASURE, rng)
-        accepted += verify(cert, key, rng).accepted
-    p = 2.0**-n
-    assert abs(accepted / trials - p) <= 3 * math.sqrt(p * (1 - p) / trials)
-
-
-def test_blind_guess_is_erasure_only():
-    rng, key, message, state = make_instance(5, 2, 15)
-    with pytest.raises(ValueError):
-        prover_respond(state, BlindErasureGuess(), Task.STORAGE, rng)
 
 
 def test_discr_guess_rule():
