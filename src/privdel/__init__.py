@@ -14,7 +14,6 @@ a Wegman-Carter one-time MAC for the classical integrity layer.
 
 from .qubit import Basis
 from .encoding import (
-    EncodedState,
     KeyLength,
     SecretKey,
     decode_non_trap,

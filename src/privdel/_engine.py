@@ -33,12 +33,6 @@ from .parties import AdversaryStrategy, Task, guess_legit
 from .qubit import Basis, measure_sites
 
 
-class BatchTally(NamedTuple):
-    accepted: int
-    correct: int
-    correct_accepted: int
-
-
 class TrialInputs(NamedTuple):
     """Every random input of t runs, one row per run."""
 
@@ -183,6 +177,18 @@ def batch_bytes(t: int, m: int, n: int, k: int) -> int:
     return t * (48 * (n + k) + (8 * total if shuffled else 0))
 
 
+class Batch(NamedTuple):
+    """t runs: what `draw` drew, what `kernel` returned and the guesses."""
+
+    inputs: TrialInputs
+    #: (t,) verdicts, (t, k) attack outcomes and (t, k) attacked sites
+    accepted: np.ndarray
+    outcomes: np.ndarray
+    sites: np.ndarray
+    #: (t,) bool, "legitimate" guesses; None outside the discrimination game
+    guesses: Optional[np.ndarray]
+
+
 def run_batch(
     m: int,
     n: int,
@@ -191,21 +197,16 @@ def run_batch(
     t: int,
     rng: np.random.Generator,
     legit: Optional[np.ndarray] = None,
-) -> BatchTally:
+) -> Batch:
     """Simulate t independent protocol runs off one random stream.
 
     With `legit` set, each run carries the candidate message or a fresh
-    uniform dummy with equal probability, and the tally includes guess
-    counts; fallback guess coins are drawn last.
+    uniform dummy with equal probability, and the adversary guesses which;
+    fallback guess coins are drawn last.
     """
     inputs = draw(m, n, task, adversary, t, rng, discr=legit is not None)
-    accepted, outcomes, _ = kernel(m, task, inputs, legit)
-    if legit is None:
-        return BatchTally(int(accepted.sum()), 0, 0)
-    guesses = guess_legit(inputs.positions, inputs.bases, outcomes, int(legit[0]), rng)
-    correct = guesses == inputs.is_legit
-    return BatchTally(
-        int(accepted.sum()),
-        int(correct.sum()),
-        int((correct & accepted).sum()),
-    )
+    accepted, outcomes, sites = kernel(m, task, inputs, legit)
+    guesses = None
+    if legit is not None:
+        guesses = guess_legit(inputs.positions, inputs.bases, outcomes, int(legit[0]), rng)
+    return Batch(inputs, accepted, outcomes, sites, guesses)

@@ -20,11 +20,10 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import auth, bounds
-from ._engine import draw, kernel
 from .encoding import key_length_bits
 from .experiments import (
-    BATCH_TRIALS,
     ExperimentConfig,
+    batches,
     run_cert,
     run_discr,
     runs_test_pvalue,
@@ -230,30 +229,16 @@ def check_firstbit_attack(trials: int = 1_000_000) -> CriterionResult:
 # 5. rectilinear transparency: reading every message bit goes undetected
 
 
-def _snooped_batches(task: Task, seed: int, trials: int):
-    """Batches of runs at (100, 20) under `NonTraps` in the rectilinear basis.
-
-    Batch b runs on ``stream_rng(seed, b)`` and yields its first trial
-    index over all batches, its stream, its inputs and what `kernel` returns.
-    """
-    m, n = 100, 20
-    snoop = NonTraps(Basis.RECTILINEAR)
-    for start in range(0, trials, BATCH_TRIALS):
-        rng = stream_rng(seed, start // BATCH_TRIALS)
-        inputs = draw(m, n, task, snoop, min(BATCH_TRIALS, trials - start), rng)
-        yield start, rng, inputs, *kernel(m, task, inputs)
-
-
 def check_rectilinear_transparency(trials: int = 100_000) -> CriterionResult:
-    """Storage runs under `NonTraps` in the rectilinear basis, through the engine.
+    """Storage runs at (100, 20) under `NonTraps`, through the engine.
 
     Every run must (a) read its whole message, (b) be accepted and (c)
     leave sites from which a rectilinear decode returns the message. The
     first failing run, and its first failing check, is reported by its
     trial index over all batches.
     """
-    batches = _snooped_batches(Task.STORAGE, SEED + 5, trials)
-    for start, rng, inputs, accepted, outcomes, sites in batches:
+    config = ExperimentConfig(100, 20, Task.STORAGE, NonTraps(), trials, SEED + 5)
+    for start, rng, (inputs, accepted, outcomes, sites, _) in batches(config):
         u = rng.random(sites.shape, dtype=np.float32)
         decoded = measure_sites(sites, ..., Basis.RECTILINEAR, u)
         # the message is the bits at the attacked positions, here all m of them
@@ -284,7 +269,7 @@ def check_rectilinear_transparency(trials: int = 100_000) -> CriterionResult:
 
 
 def check_erasure_randomness(pooled_bits: int = 1_000_000) -> CriterionResult:
-    """Erasure runs under `NonTraps` in the rectilinear basis, through the engine.
+    """Erasure runs at (100, 20) under `NonTraps`, through the engine.
 
     The snoop leaves every message site as it was (criterion 5), so the
     prover's diagonal announcements of the m attacked sites, drawn with
@@ -293,8 +278,8 @@ def check_erasure_randomness(pooled_bits: int = 1_000_000) -> CriterionResult:
     m, n = 100, 20
     trials = (pooled_bits + m - 1) // m
     chunks = []
-    batches = _snooped_batches(Task.ERASURE, SEED + 6, trials)
-    for start, _, inputs, accepted, _, sites in batches:
+    config = ExperimentConfig(m, n, Task.ERASURE, NonTraps(), trials, SEED + 6)
+    for start, _, (inputs, accepted, _, sites, _) in batches(config):
         if not accepted.all():
             return CriterionResult(
                 "erasure_randomness",

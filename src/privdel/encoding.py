@@ -122,8 +122,10 @@ class SecretKey:
     trap_values: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = self.trap_positions
-        vals = self.trap_values
+        # lists and tuples are held as arrays, as if the caller had passed those
+        for name in ("trap_positions", "trap_values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        pos, vals = self.trap_positions, self.trap_values
         if pos.size != vals.size or pos.size < 1:
             raise ValueError("need at least one trap and matching position/value counts")
         if pos[0] < 0 or pos[-1] >= self.total_length:
@@ -147,16 +149,6 @@ class SecretKey:
         mask = np.ones(self.total_length, dtype=bool)
         mask[self.trap_positions] = False
         return np.flatnonzero(mask)
-
-
-@dataclass(slots=True)
-class EncodedState:
-    """The transmitted train of qubits, one uint8 site ``2*basis + bit`` per position."""
-
-    sites: np.ndarray
-
-    def __len__(self) -> int:
-        return self.sites.shape[0]
 
 
 def generate_key(m: int, n: int, rng: np.random.Generator) -> SecretKey:
@@ -194,8 +186,9 @@ def key_length_bits(m: int, n: int) -> KeyLength:
     return KeyLength(n + log2_binom, approx)
 
 
-def encode(message, key: SecretKey) -> EncodedState:
-    """Build the transmitted state: traps in the diagonal basis, message elsewhere.
+def encode(message, key: SecretKey) -> np.ndarray:
+    """Build the transmitted state, one (m+n,) uint8 site per position: traps
+    in the diagonal basis, message elsewhere.
 
     Position p carries the i-th trap value in the diagonal basis when
     p == trap_positions[i], otherwise the next message bit in the
@@ -209,11 +202,11 @@ def encode(message, key: SecretKey) -> EncodedState:
     sites = np.empty(key.total_length, dtype=np.uint8)
     sites[key.non_trap_positions()] = msg
     sites[key.trap_positions] = 2 * Basis.DIAGONAL + key.trap_values
-    return EncodedState(sites)
+    return sites
 
 
 def decode_non_trap(
-    state: EncodedState, key: SecretKey, rng: np.random.Generator
+    state: np.ndarray, key: SecretKey, rng: np.random.Generator
 ) -> Message:
     """Measure every non-trap position in the rectilinear basis, in order.
 
@@ -224,7 +217,7 @@ def decode_non_trap(
         raise ValueError("state length does not match key")
     positions = key.non_trap_positions()
     return measure_sites(
-        state.sites, positions, Basis.RECTILINEAR, rng.random(positions.shape)
+        state, positions, Basis.RECTILINEAR, rng.random(positions.shape)
     )
 
 

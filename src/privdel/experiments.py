@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import bounds
-from ._engine import BatchTally, batch_bytes, run_batch
+from ._engine import Batch, batch_bytes, run_batch
 from .encoding import as_bits
 from .parties import AdversaryStrategy, NoOp, Task, adversary_label
 
@@ -126,25 +126,33 @@ class ExperimentReport:
         return math.isnan(self.estimate)
 
 
-def _iter_batches(config: ExperimentConfig, legit: Optional[np.ndarray]) -> BatchTally:
-    tallies = []
+def batches(
+    config: ExperimentConfig, legit: Optional[np.ndarray] = None
+) -> Iterator[tuple[int, np.random.Generator, Batch]]:
+    """Each batch of the config's runs as (first trial index, stream, `Batch`).
+
+    Batch b holds up to BATCH_TRIALS runs off ``stream_rng(seed, b)``, and a
+    caller may draw more from the stream. Drop each batch before asking for
+    the next, or two are held at once.
+    """
     for index, start in enumerate(range(0, config.trials, BATCH_TRIALS)):
         t = min(BATCH_TRIALS, config.trials - start)
         rng = stream_rng(config.seed, index)
-        tallies.append(
-            run_batch(config.m, config.n, config.task, config.adversary, t, rng, legit)
+        yield start, rng, run_batch(
+            config.m, config.n, config.task, config.adversary, t, rng, legit
         )
-    return BatchTally(*map(sum, zip(*tallies)))
 
 
 def run_cert(config: ExperimentConfig) -> ExperimentReport:
     """Estimate P[certificate accepted] over independent protocol runs."""
-    tally = _iter_batches(config, None)
-    estimate = tally.accepted / config.trials
+    accepted = 0
+    for _, _, batch in batches(config):
+        accepted += int(batch.accepted.sum())
+        del batch  # before the next draw
     return ExperimentReport(
-        estimate=estimate,
+        estimate=accepted / config.trials,
         trials=config.trials,
-        ci95_halfwidth=wilson_halfwidth(tally.accepted, config.trials),
+        ci95_halfwidth=wilson_halfwidth(accepted, config.trials),
         analytic_reference=bounds.analytic_cert_probability(
             config.m, config.n, config.adversary
         ),
@@ -162,12 +170,18 @@ def run_discr(config: ExperimentConfig, legit) -> ExperimentReport:
     legit_arr = as_bits(legit)
     if legit_arr.size != config.m:
         raise ValueError(f"legit message length {legit_arr.size} != m={config.m}")
-    tally = _iter_batches(config, legit_arr)
-    cert_rate = tally.accepted / config.trials
-    uncond = tally.correct / config.trials
-    if tally.accepted > 0:
-        conditional = tally.correct_accepted / tally.accepted
-        halfwidth = wilson_halfwidth(tally.correct_accepted, tally.accepted)
+    accepted = correct = correct_accepted = 0
+    for _, _, batch in batches(config, legit_arr):
+        hit = batch.guesses == batch.inputs.is_legit
+        accepted += int(batch.accepted.sum())
+        correct += int(hit.sum())
+        correct_accepted += int((hit & batch.accepted).sum())
+        del batch  # before the next draw
+    cert_rate = accepted / config.trials
+    uncond = correct / config.trials
+    if accepted > 0:
+        conditional = correct_accepted / accepted
+        halfwidth = wilson_halfwidth(correct_accepted, accepted)
         product = cert_rate * (conditional - 0.5)
     else:
         conditional = math.nan
@@ -182,7 +196,7 @@ def run_discr(config: ExperimentConfig, legit) -> ExperimentReport:
         cert_estimate=cert_rate,
         unconditioned_estimate=uncond,
         security_product=product,
-        accepted_trials=tally.accepted,
+        accepted_trials=accepted,
     )
 
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import bounds
 from .encoding import (
-    EncodedState,
     Message,
     SecretKey,
     as_bits,
@@ -165,7 +164,9 @@ class Custom:
     bases: np.ndarray
 
     def __init__(self, positions, bases) -> None:
-        pos = np.asarray(positions, dtype=np.intp)
+        pos = np.asarray(positions)
+        if pos.size and pos.dtype.kind not in "iu":
+            raise ValueError("custom positions must be integers")
         b = np.asarray([Basis(x) for x in np.atleast_1d(bases)], dtype=np.uint8)
         if b.size == 1 and pos.size > 1:
             b = np.full(pos.size, b[0], dtype=np.uint8)
@@ -176,7 +177,7 @@ class Custom:
         if pos.size and pos.min() < 0:
             raise ValueError("custom positions must be non-negative")
         order = np.argsort(pos)
-        self.positions = pos[order]
+        self.positions = pos[order].astype(np.intp)
         self.bases = b[order]
 
     @property
@@ -203,23 +204,14 @@ class Custom:
 
 @dataclass(frozen=True, slots=True)
 class NonTraps:
-    """Measure exactly the m non-trap positions of each run, in one basis.
+    """Measure the m non-trap positions of each run in the rectilinear basis.
 
     A planted diagnostic that knows the key: it reads the runs' traps, so
-    only the engine, which has drawn them, can run it. In the rectilinear
-    basis it reads every message bit and, as the traps go untouched, is
-    never detected; in the diagonal basis it reads fair coins, equally
-    undetected.
+    only the engine, which has drawn them, can run it. It reads every
+    message bit and, as the traps go untouched, is never detected.
     """
 
-    basis: Basis = Basis.RECTILINEAR
-
-    def __post_init__(self) -> None:
-        Basis(self.basis)  # ValueError for anything but the two bases
-
-    @property
-    def label(self) -> str:
-        return f"nontraps({Basis(self.basis).name.lower()})"
+    label = "nontraps"
 
     def attacked(self, m: int, n: int) -> int:
         return m
@@ -233,7 +225,7 @@ class NonTraps:
         np.put_along_axis(free, traps, False, axis=1)
         positions = np.broadcast_to(np.arange(total), free.shape)[free]
         positions = positions.reshape(t, total - traps.shape[1])
-        return positions, np.full(positions.shape, self.basis, dtype=np.uint8)
+        return positions, np.zeros(positions.shape, dtype=np.uint8)
 
     def analytic_cert(self, m: int, n: int) -> Optional[float]:
         return 1.0
@@ -265,8 +257,8 @@ _EMPTY_RECORD_ARGS = (
 
 
 def adversary_intervene(
-    state: EncodedState, strategy: AdversaryStrategy, rng: np.random.Generator
-) -> tuple[EncodedState, EavesdropRecord]:
+    state: np.ndarray, strategy: AdversaryStrategy, rng: np.random.Generator
+) -> tuple[np.ndarray, EavesdropRecord]:
     """Apply an intercept-resend attack, disturbing the state in place.
 
     Each attacked position is measured once in the strategy's basis; the
@@ -279,7 +271,7 @@ def adversary_intervene(
     if attack is None:
         return state, EavesdropRecord(*_EMPTY_RECORD_ARGS)
     positions, bases = attack[0][0], attack[1][0]
-    outcomes = measure_sites(state.sites, positions, bases, rng.random(positions.shape))
+    outcomes = measure_sites(state, positions, bases, rng.random(positions.shape))
     return state, EavesdropRecord(positions, bases, outcomes)
 
 
@@ -297,7 +289,7 @@ HONEST = Honest()
 
 @dataclass(slots=True)
 class StorageCert:
-    returned: EncodedState
+    returned: np.ndarray
 
 
 @dataclass(slots=True)
@@ -309,7 +301,7 @@ Certificate = Union[StorageCert, ErasureCert]
 
 
 def prover_respond(
-    state: EncodedState,
+    state: np.ndarray,
     strategy: Honest,
     task: Task,
     rng: np.random.Generator,
@@ -323,9 +315,8 @@ def prover_respond(
     """
     if task is Task.STORAGE:
         return StorageCert(state)
-    sites = state.sites
-    u = rng.random(sites.shape)
-    return ErasureCert(measure_sites(sites, ..., Basis.DIAGONAL, u))
+    u = rng.random(state.shape)
+    return ErasureCert(measure_sites(state, ..., Basis.DIAGONAL, u))
 
 
 class VerifyResult(NamedTuple):
@@ -350,7 +341,7 @@ def verify(
             raise ValueError("certificate length does not match key")
         positions = key.trap_positions
         outcomes = measure_sites(
-            state.sites, positions, Basis.DIAGONAL, rng.random(positions.shape)
+            state, positions, Basis.DIAGONAL, rng.random(positions.shape)
         )
         if not np.array_equal(outcomes, key.trap_values):
             return VerifyResult(False, None)

@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from privdel import acceptance, auth, bounds
+from privdel import _engine, acceptance, auth, bounds
 from privdel.encoding import key_length_bits
-from privdel.experiments import stream_rng
+from privdel.experiments import BATCH_TRIALS, stream_rng
 
 
 def assert_key_length_red(result):
@@ -174,7 +174,7 @@ def test_rectilinear_transparency_names_the_first_failing_trial(
 ):
     # one bad row in the second batch is reported by its index over all
     # batches, and by the one check it fails
-    batched_kernel = acceptance.kernel
+    batched_kernel = _engine.kernel
     batches, row = 0, 37
 
     def kernel(*args):
@@ -185,11 +185,11 @@ def test_rectilinear_transparency_names_the_first_failing_trial(
             corrupt(*result, row)
         return result
 
-    monkeypatch.setattr(acceptance, "kernel", kernel)
-    result = check(acceptance.BATCH_TRIALS + 100)
+    monkeypatch.setattr(_engine, "kernel", kernel)
+    result = check(BATCH_TRIALS + 100)
     assert batches == 2
     assert not result.passed
-    assert result.detail == f"{problem} at trial {acceptance.BATCH_TRIALS + row}"
+    assert result.detail == f"{problem} at trial {BATCH_TRIALS + row}"
 
 
 def test_wegman_carter_reports_the_first_failing_round_trip(monkeypatch):

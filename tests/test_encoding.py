@@ -161,7 +161,23 @@ def test_secret_key_refuses_non_bit_trap_values_of_any_dtype():
             SecretKey(7, positions, np.array(values))
     for dtype in (np.uint8, np.int64, np.float64, bool):
         key = SecretKey(7, positions, np.array([1, 0], dtype=dtype))
-        assert encode("10110", key).sites[positions].tolist() == [3, 2]
+        assert encode("10110", key)[positions].tolist() == [3, 2]
+
+
+def test_secret_key_takes_lists_and_tuples_as_their_arrays():
+    array_key = SecretKey(7, np.array([1, 3]), np.array([0, 1]))
+    for positions, values in (([1, 3], [0, 1]), ((1, 3), (0, 1))):
+        key = SecretKey(7, positions, values)
+        assert isinstance(key.trap_positions, np.ndarray)
+        assert isinstance(key.trap_values, np.ndarray)
+        assert key.non_trap_positions().tolist() == [0, 2, 4, 5, 6]
+        assert np.array_equal(encode("10110", key), encode("10110", array_key))
+    with pytest.raises(ValueError, match="increasing"):
+        SecretKey(7, [3, 1], [0, 1])
+    with pytest.raises(ValueError, match="bits"):
+        SecretKey(7, [1, 3], [0, 2])
+    with pytest.raises(ValueError, match="at least one trap"):
+        SecretKey(7, [], [])
 
 
 def test_key_length_examples():
@@ -194,13 +210,13 @@ def test_encode_places_traps_and_message_bits():
     key = SecretKey(4, np.array([0, 2]), np.array([0, 1], dtype=np.uint8))
     state = encode([1, 0], key)
     # site = 2*basis + bit: |+>, |1>, |->, |0>
-    assert state.sites.tolist() == [
+    assert state.tolist() == [
         2 * Basis.DIAGONAL + 0,
         2 * Basis.RECTILINEAR + 1,
         2 * Basis.DIAGONAL + 1,
         2 * Basis.RECTILINEAR + 0,
     ]
-    assert state.sites.dtype == np.uint8
+    assert state.dtype == np.uint8
     assert len(state) == 4
 
 
@@ -237,7 +253,7 @@ def test_decode_sees_a_rectilinear_flip():
     message = random_message(6, rng)
     state = encode(message, key)
     target = int(key.non_trap_positions()[2])
-    state.sites[target] ^= 1  # tamper: bit flip on a rectilinear site
+    state[target] ^= 1  # tamper: bit flip on a rectilinear site
     decoded = decode_non_trap(state, key, rng)
     expected = message.copy()
     expected[2] ^= 1
