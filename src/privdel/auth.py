@@ -12,17 +12,18 @@ zero-padded message blocks followed by one extra block holding the
 original bit length, which therefore must be below 2^s. s=4 exists solely
 so the security property can be verified by exhausting the key space.
 
-Every operation is batch-first over numpy uint64 arrays, and the scalar
-forms are its one-row case. A value of up to 2s bits is held as a pair
-(high, low) split at x^s: `low` holds the bits below x^s, `high` the bits
-from x^s up. Each factor b gets its own window, the 16 carry-less
-products b*j for j < 16. A product a*b then takes s/4 nibble steps, most
-significant nibble of `a` first: the accumulator shifts left by 4 and
-adds the window entry of that nibble. Its high part is then folded below
-x^s, as x^s equals the low terms of the reduction polynomial. For N
-messages, `block_matrix` packs the blocks into one (N, L) matrix, and
-`poly_hash` builds each row's window of its point once and runs Horner's
-rule over the columns.
+Every operation is batch-first, and the scalar forms are its one-row
+case: key generation draws N keys from one `rng.bytes` call, and the
+arithmetic runs over numpy uint64 arrays. A value of up to 2s bits is
+held as a pair (high, low) split at x^s: `low` holds the bits below x^s,
+`high` the bits from x^s up. Each factor b gets its own window, the 16
+carry-less products b*j for j < 16. A product a*b then takes s/4 nibble
+steps, most significant nibble of `a` first: the accumulator shifts left
+by 4 and adds the window entry of that nibble. Its high part is then
+folded below x^s, as x^s equals the low terms of the reduction
+polynomial. For N messages, `block_matrix` packs the blocks into one
+(N, L) matrix, and `poly_hash` builds each row's window of its point once
+and runs Horner's rule over the columns.
 """
 
 from __future__ import annotations
@@ -112,16 +113,6 @@ def _mul(a: np.ndarray, window: tuple[np.ndarray, np.ndarray], s: int) -> np.nda
     return _fold(high, low, s)
 
 
-def gf_mul(a, b, s: int):
-    """Carry-less multiply modulo the width-s reduction polynomial.
-
-    Elementwise over arrays broadcast together; two scalars give an int.
-    """
-    a, b = np.broadcast_arrays(_elements(a, s), _elements(b, s))
-    product = _mul(a.ravel(), _window(b.ravel(), s), s).reshape(a.shape)
-    return int(product) if product.ndim == 0 else product
-
-
 def poly_hash(blocks, x, s: int):
     """Evaluate sum_i blocks[i-1] * x^i (a constant-free polynomial) at x.
 
@@ -201,20 +192,26 @@ class AuthTag:
     value: int
 
 
-def generate_auth_key(s: int, rng: np.random.Generator) -> AuthKey:
-    """Hash key and pad from one `rng.bytes` draw.
+def generate_auth_key(s: int, rng: np.random.Generator, count: int | None = None):
+    """Hash key and pad from one `rng.bytes` draw; `count` keys as a list, one draw.
 
     `Generator.bytes` consumes whole uint32 words, so each element takes
-    the first bytes of its own `word`-byte span: the same key, and the same
-    generator state afterwards, as one draw per element.
+    the first bytes of its own `word`-byte span: the same keys, and the
+    same generator state afterwards, as one draw per element.
     """
+    if s not in REDUCTION_POLYS:
+        raise ValueError(f"unsupported width {s}; use one of {SUPPORTED_WIDTHS}")
+    if count is not None and count < 0:
+        raise ValueError(f"key count must be non-negative, got {count}")
+    if count == 0:
+        return []  # `rng.bytes(0)` would still consume a word
     nbytes = (s + 7) // 8
     word = 4 * -(-nbytes // 4)
-    raw = rng.bytes(2 * word)
-    mask = (1 << s) - 1
-    hash_key = int.from_bytes(raw[:nbytes], "big") & mask
-    pad = int.from_bytes(raw[word : word + nbytes], "big") & mask
-    return AuthKey(s, hash_key, pad)
+    raw = np.frombuffer(rng.bytes((1 if count is None else count) * 2 * word), np.uint8)
+    spans = np.ascontiguousarray(raw.reshape(-1, word)[:, :nbytes])
+    elements = spans.view(f">u{nbytes}").reshape(-1, 2) & _MASKS[s]
+    keys = [AuthKey(s, hash_key, pad) for hash_key, pad in elements.tolist()]
+    return keys[0] if count is None else keys
 
 
 def _digests(messages, keys) -> tuple[int, list[int]]:

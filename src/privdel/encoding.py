@@ -126,8 +126,8 @@ class SecretKey:
         for name in ("trap_positions", "trap_values"):
             object.__setattr__(self, name, np.asarray(getattr(self, name)))
         pos, vals = self.trap_positions, self.trap_values
-        if pos.size != vals.size or pos.size < 1:
-            raise ValueError("need at least one trap and matching position/value counts")
+        if pos.ndim != 1 or pos.shape != vals.shape or pos.size < 1:
+            raise ValueError("need at least one trap and 1-D positions and values of one length")
         if pos[0] < 0 or pos[-1] >= self.total_length:
             raise ValueError("trap positions out of range")
         if pos.size > 1 and not (np.diff(pos) > 0).all():

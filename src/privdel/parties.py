@@ -165,6 +165,8 @@ class Custom:
 
     def __init__(self, positions, bases) -> None:
         pos = np.asarray(positions)
+        if pos.ndim != 1 or np.ndim(bases) > 1:
+            raise ValueError("custom positions must be 1-D, and bases 1-D or one basis")
         if pos.size and pos.dtype.kind not in "iu":
             raise ValueError("custom positions must be integers")
         b = np.asarray([Basis(x) for x in np.atleast_1d(bases)], dtype=np.uint8)

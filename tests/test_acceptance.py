@@ -219,3 +219,19 @@ def test_wegman_carter_reports_the_first_failing_round_trip(monkeypatch):
     tags = batched_tag(messages, keys)
     tags[1] = auth.AuthTag(64, tags[1].value)
     assert auth.verify_tag(messages, tags, keys).tolist() == [True, False, True]
+
+
+def test_wegman_carter_draws_keys_a_batch_at_a_time(monkeypatch):
+    # one key draw per 1,000-pair round-trip batch plus the key-size check:
+    # a per-pair loop would make 10,001
+    batched_keys = auth.generate_auth_key
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return batched_keys(*args)
+
+    monkeypatch.setattr(auth, "generate_auth_key", counted)
+    assert acceptance.check_wegman_carter().passed
+    assert calls <= 11

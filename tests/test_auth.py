@@ -13,13 +13,25 @@ from privdel.auth import (
     auth_key_to_hex,
     block_matrix,
     generate_auth_key,
-    gf_mul,
     poly_hash,
     tag,
     tag_to_hex,
     verify_tag,
 )
 from privdel.experiments import stream_rng
+
+
+def gf_mul(a, b, s):
+    """The field multiply a*b, reached as `poly_hash` of the one block a at the point b.
+
+    A list or array `a` multiplies row by row: one one-block row per
+    element, against its own point in `b` (or one point for all).
+    """
+    if isinstance(a, np.ndarray):
+        return poly_hash(a[:, None], b, s)
+    if isinstance(a, list):
+        return poly_hash([[value] for value in a], b, s)
+    return poly_hash([a], b, s)
 
 
 def schoolbook_mul(a, b, s):
@@ -291,6 +303,19 @@ def test_generate_auth_key_is_pinned(s, first, second, next_draw):
     assert int(rng.integers(0, 2**32)) == next_draw
 
 
+@pytest.mark.parametrize("s", [4, 32, 64])
+def test_generate_auth_key_batch_is_the_one_key_draws(s):
+    # one draw of 1,000 keys is 1,000 one-key draws, and leaves the stream
+    # where they leave it; no key and a refused count draw nothing
+    batch_rng, one_rng = stream_rng(32, 0), stream_rng(32, 0)
+    keys = generate_auth_key(s, batch_rng, 1000)
+    assert keys == [generate_auth_key(s, one_rng) for _ in range(1000)]
+    assert generate_auth_key(s, batch_rng, 0) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_auth_key(s, batch_rng, -1)
+    assert int(batch_rng.integers(0, 2**32)) == int(one_rng.integers(0, 2**32))
+
+
 def test_single_bit_flip_detection_rate_exhaustively():
     # two-block messages: a flip is accepted by at most 2 of 16 hash keys
     rng = stream_rng(21, 0)
@@ -369,6 +394,8 @@ def test_auth_key_validation():
         AuthKey(4, 16, 0)
     with pytest.raises(ValueError):
         AuthKey(4, 0, -1)
+    with pytest.raises(ValueError, match="unsupported width"):
+        generate_auth_key(5, stream_rng(27, 0))
 
 
 def test_verify_rejects_width_mismatch():

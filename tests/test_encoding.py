@@ -151,6 +151,11 @@ def test_secret_key_invariants_are_enforced():
         SecretKey(5, np.array([1, 7]), values)  # out of range
     with pytest.raises(ValueError):
         SecretKey(5, np.array([1, 2]), np.array([0, 2], dtype=np.uint8))
+    # scalar and matrix fields, as lists and as arrays, are refused by name
+    for positions, values in ((3, 1), ([[1, 3]], [[0, 1]]), ([1, 3], [[0, 1]])):
+        for pos, vals in ((positions, values), (np.array(positions), np.array(values))):
+            with pytest.raises(ValueError, match="1-D"):
+                SecretKey(7, pos, vals)
 
 
 def test_secret_key_refuses_non_bit_trap_values_of_any_dtype():

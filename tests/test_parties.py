@@ -95,6 +95,10 @@ def test_attack_validation_errors():
     # a fractional position is refused, not truncated to position 1
     with pytest.raises(ValueError, match="integers"):
         Custom([1.5], Basis.RECTILINEAR)
+    # positions form one row: a scalar or a matrix is refused by name
+    for positions, bases in ((3, 0), ([[1, 2]], 0), ([1, 2], [[0, 1]])):
+        with pytest.raises(ValueError, match="1-D"):
+            Custom(positions, bases)
     with pytest.raises(ValueError):
         adversary_intervene(state, Custom([9], Basis.RECTILINEAR), rng)
     with pytest.raises(ValueError):
