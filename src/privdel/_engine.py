@@ -12,11 +12,11 @@ O(n + k), whatever m is.
 `run_batch` is a draw step and a pure kernel. `draw` takes every random
 input of t runs from the stream: traps from `encoding.uniform_subsets`,
 the attack from the strategy's own `sites`, which may read the traps just
-drawn (`parties.NonTraps` attacks every non-trap position), message bits
-only at the attacked positions, and one uniform per measurement. `kernel`
-maps those arrays to verdicts, attack outcomes and the attacked sites as
-the attack left them, through `qubit.measure_sites`, and guesses come
-from `parties.guess_legit`.
+drawn (`parties.NonTraps` attacks every non-trap position), then trap
+values, message bits only at the attacked positions and one coin bit per
+measurement, all from one ``rng.bytes`` call. `kernel` maps those arrays
+to verdicts, attack outcomes and the attacked sites as the attack left
+them, through `qubit.measure_sites`; guesses come from `parties.guess_legit`.
 The per-instance API in `parties` runs the same steps on whole states;
 it draws its stream in another order, so the two agree in law, and the
 kernel fed one such run's draws returns that run's verdict and outcomes.
@@ -47,40 +47,38 @@ class TrialInputs(NamedTuple):
     #: (t,) bool, the run carries the candidate message; None outside
     #: the discrimination game
     is_legit: Optional[np.ndarray]
-    #: (t, k) uniforms of the attack measurements
-    attack_u: np.ndarray
-    #: uniforms of the trap check: (t, n) for the storage verifier's trap
-    #: measurements, (t, n+k) for the erasure prover's announcement. The
-    #: kernel reads the traps' first n columns; the erasure criterion in
-    #: `acceptance` measures the held attacked sites with the other k
-    check_u: np.ndarray
+    #: (t, k) coin bits of the attack measurements
+    attack_coins: np.ndarray
+    #: (t, n) coin bits of the trap measurements (storage) or announcements
+    check_coins: np.ndarray
+
+
+def random_bits(rng: np.random.Generator, t: int, width: int) -> np.ndarray:
+    """(t, width) uint8 fair bits: one ``rng.bytes`` draw, unpacked big-endian."""
+    packed = np.frombuffer(rng.bytes(-(-t * width // 8)), dtype=np.uint8)
+    return np.unpackbits(packed, count=t * width).reshape(t, width)
 
 
 def draw(
-    m: int,
-    n: int,
-    task: Task,
-    adversary: AdversaryStrategy,
-    t: int,
-    rng: np.random.Generator,
+    m: int, n: int, adversary: AdversaryStrategy, t: int, rng: np.random.Generator,
     discr: bool = False,
 ) -> TrialInputs:
-    """Draw the inputs of t runs, in this order: discrimination coins, trap
-    positions, trap values, attack sites, message bits, attack uniforms,
-    check uniforms."""
+    """Draw the inputs of t runs, in this order: trap positions, attack
+    sites, then one (t, d + 2n + 2k) bit matrix whose columns are the
+    legit coin (d = 1 only if `discr`), n trap values, k message bits, k
+    attack coins and n check coins: only what the kernel reads, so
+    storage and erasure runs draw alike."""
     total = m + n
-    is_legit = rng.integers(0, 2, t, dtype=np.uint8).astype(bool) if discr else None
     traps = uniform_subsets(t, total, n, rng)
-    trap_values = rng.integers(0, 2, (t, n), dtype=np.uint8)
     attack = adversary.sites(t, total, rng, traps)
     if attack is None:
         attack = (np.empty((t, 0), dtype=np.intp), np.empty((t, 0), dtype=np.uint8))
     k = attack[0].shape[1]
-    bits = rng.integers(0, 2, (t, k), dtype=np.uint8)
-    # float32 keeps P(u >= 1/2) exactly 1/2 at half the bytes of float64
-    attack_u = rng.random((t, k), dtype=np.float32)
-    check_u = rng.random((t, n if task is Task.STORAGE else n + k), dtype=np.float32)
-    return TrialInputs(traps, trap_values, *attack, bits, is_legit, attack_u, check_u)
+    d = int(discr)
+    bits = random_bits(rng, t, d + 2 * n + 2 * k)
+    is_legit = bits[:, 0].astype(bool) if discr else None
+    trap_values, message, *coins = np.split(bits[:, d:], np.cumsum([n, k, k]), axis=1)
+    return TrialInputs(traps, trap_values, *attack, message, is_legit, *coins)
 
 
 def kernel(
@@ -96,11 +94,12 @@ def kernel(
     site back into the (t, n) trap sites. Then the storage verifier
     measures the traps in the diagonal basis, or the erasure prover
     measures every held site in the diagonal basis and the verifier reads
-    the trap announcements; either way only the trap outcomes count, from
-    the first n columns of `check_u`. A run is accepted iff every trap
+    the trap announcements; either way only the trap outcomes count, and
+    they are decided by `check_coins`. A run is accepted iff every trap
     outcome equals its trap value.
     """
-    traps, trap_values, positions, bases, bits, is_legit, attack_u, check_u = inputs
+    traps, trap_values, positions, bases, bits, is_legit = inputs[:6]
+    attack_coins, check_coins = inputs[6:]
     t, n = traps.shape
     k = positions.shape[1]
     trap_sites = 2 * Basis.DIAGONAL + trap_values
@@ -113,11 +112,11 @@ def kernel(
         sites = 2 * Basis.RECTILINEAR + bits
         flat_sites, flat_traps = sites.reshape(-1), trap_sites.reshape(-1)
         flat_sites[site_at] = flat_traps[trap_at]
-        outcomes = measure_sites(sites, ..., bases, attack_u)
+        outcomes = measure_sites(sites, ..., bases, attack_coins)
         flat_traps[trap_at] = flat_sites[site_at]
     else:
         sites = outcomes = np.empty((t, 0), dtype=np.uint8)
-    checks = measure_sites(trap_sites, ..., Basis.DIAGONAL, check_u[:, :n])
+    checks = measure_sites(trap_sites, ..., Basis.DIAGONAL, check_coins)
     return (checks == trap_values).all(axis=1), outcomes, sites
 
 
@@ -168,9 +167,9 @@ def batch_bytes(t: int, m: int, n: int, k: int) -> int:
 
     The drawn inputs, search keys and site arrays take at most about 48
     bytes per trap or attacked site (measured up to 40 with `tracemalloc`).
-    A subset drawn by shuffling (`encoding.uniform_subsets`: one run, or a
-    third of the positions or more) first fills a (t, m+n) intp array,
-    which dominates at large m.
+    A subset of one run, or of a third of the positions or more, is drawn
+    (`encoding.uniform_subsets`) through a (t, m+n) intp shuffle or a
+    (t, m+n) mask, which dominates at large m.
     """
     total = m + n
     shuffled = any(size and (t == 1 or 3 * size >= total) for size in (n, k))
@@ -204,7 +203,7 @@ def run_batch(
     uniform dummy with equal probability, and the adversary guesses which;
     fallback guess coins are drawn last.
     """
-    inputs = draw(m, n, task, adversary, t, rng, discr=legit is not None)
+    inputs = draw(m, n, adversary, t, rng, discr=legit is not None)
     accepted, outcomes, sites = kernel(m, task, inputs, legit)
     guesses = None
     if legit is not None:

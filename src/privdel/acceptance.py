@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import auth, bounds
+from ._engine import random_bits
 from .encoding import key_length_bits
 from .experiments import (
     ExperimentConfig,
@@ -239,8 +240,8 @@ def check_rectilinear_transparency(trials: int = 100_000) -> CriterionResult:
     """
     config = ExperimentConfig(100, 20, Task.STORAGE, NonTraps(), trials, SEED + 5)
     for start, rng, (inputs, accepted, outcomes, sites, _) in batches(config):
-        u = rng.random(sites.shape, dtype=np.float32)
-        decoded = measure_sites(sites, ..., Basis.RECTILINEAR, u)
+        coins = random_bits(rng, *sites.shape)
+        decoded = measure_sites(sites, ..., Basis.RECTILINEAR, coins)
         # the message is the bits at the attacked positions, here all m of them
         failed = np.stack(
             [
@@ -272,21 +273,22 @@ def check_erasure_randomness(pooled_bits: int = 1_000_000) -> CriterionResult:
     """Erasure runs at (100, 20) under `NonTraps`, through the engine.
 
     The snoop leaves every message site as it was (criterion 5), so the
-    prover's diagonal announcements of the m attacked sites, drawn with
-    ``check_u[:, n:]``, are exactly an honest run's announcements off the traps.
+    prover's diagonal announcements of the m attacked sites, with coins drawn
+    after each batch off its stream, are an honest run's off the traps.
     """
     m, n = 100, 20
     trials = (pooled_bits + m - 1) // m
     chunks = []
     config = ExperimentConfig(m, n, Task.ERASURE, NonTraps(), trials, SEED + 6)
-    for start, _, (inputs, accepted, _, sites, _) in batches(config):
+    for start, rng, (_, accepted, _, sites, _) in batches(config):
         if not accepted.all():
             return CriterionResult(
                 "erasure_randomness",
                 False,
                 f"honest run rejected at trial {start + int(accepted.argmin())}",
             )
-        chunks.append(measure_sites(sites, ..., Basis.DIAGONAL, inputs.check_u[:, n:]))
+        coins = random_bits(rng, *sites.shape)
+        chunks.append(measure_sites(sites, ..., Basis.DIAGONAL, coins))
     pool = np.concatenate(chunks, axis=None)[:pooled_bits]
     ones = float(pool.mean())
     tol = 3.0 / (2.0 * math.sqrt(pooled_bits))

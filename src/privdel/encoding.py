@@ -62,20 +62,37 @@ def uniform_subsets(
 ) -> np.ndarray:
     """(t, k) row-sorted uniform k-subsets of range(total).
 
-    Two draws, picked from the sizes alone. A single row (t == 1), and rows
-    where k is a third of total or more, are the first k entries of a
-    uniform shuffle, sorted: the same draws as ``rng.permutation(total)``,
-    so the per-instance key stream does not depend on the choice. Other
-    batches redraw duplicates (`_redrawn_subsets`), O(k log k) per row
-    instead of O(total). Measured at t=4096 on 2 cores, shuffled vs
-    redrawn: total=1050 k=50 94 vs 5.7 ms, k=105 66 vs 21 ms, k=263 98
-    vs 70 ms, k=315 86 vs 102 ms; total=100 k=10 6.8 vs 1.4 ms, k=33 7.9
-    vs 7.0 ms, k=40 7.9 vs 9.5 ms. The crossover sits near k = total/3.
-    The redraw's fixed cost loses at t=1: 8.6 vs 28 us at (120, 20).
+    One row (t == 1) is the sorted first k entries of a uniform shuffle,
+    the draws of ``rng.permutation(total)``, as keys always were. A batch
+    picks its draw from the sizes: the full set is ``arange`` rows, with no
+    draw; if the other total - k are under a third, they are redrawn and
+    each row is their complement (`complement_subsets`); else from a third
+    up, rows are sorted shuffle prefixes, and below, k draws with their
+    duplicates redrawn (`_redrawn_subsets`), O(k log k) per row. At t=4096
+    on 2 cores, shuffled vs redrawn: total=1050 k=50 94 vs 5.7 ms, k=105
+    66 vs 21, k=263 98 vs 70, k=315 86 vs 102; total=100 k=10 6.8 vs 1.4,
+    k=33 7.9 vs 7.0, k=40 7.9 vs 9.5. Shuffled vs complement: total=100
+    k=75 6.7 vs 5.3 ms, k=90 6.6 vs 2.3, k=100 (no draw) 8.0 vs 0.3;
+    total=1050 k=800 86 vs 49, k=1000 91 vs 11. At t=1 the redraw loses:
+    8.6 vs 28 us at (120, 20).
     """
-    if t == 1 or 3 * k >= total:
+    if t == 1:
+        return _shuffled_subsets(t, total, k, rng)
+    if k == total:
+        return np.arange(total, dtype=np.intp)[None].repeat(t, axis=0)
+    if 3 * (total - k) < total:
+        return complement_subsets(_redrawn_subsets(t, total, total - k, rng), total)
+    if 3 * k >= total:
         return _shuffled_subsets(t, total, k, rng)
     return _redrawn_subsets(t, total, k, rng)
+
+
+def complement_subsets(rows: np.ndarray, total: int) -> np.ndarray:
+    """Row i: the positions of range(total) not in row i, in increasing order."""
+    t, k = rows.shape
+    free = np.ones((t, total), dtype=bool)
+    np.put_along_axis(free, rows, False, axis=1)
+    return np.broadcast_to(np.arange(total), free.shape)[free].reshape(t, total - k)
 
 
 def _shuffled_subsets(
@@ -217,7 +234,7 @@ def decode_non_trap(
         raise ValueError("state length does not match key")
     positions = key.non_trap_positions()
     return measure_sites(
-        state, positions, Basis.RECTILINEAR, rng.random(positions.shape)
+        state, positions, Basis.RECTILINEAR, rng.random(positions.shape) >= 0.5
     )
 
 

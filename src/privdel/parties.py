@@ -33,6 +33,7 @@ from .encoding import (
     SecretKey,
     as_bits,
     bits_to_string,
+    complement_subsets,
     decode_non_trap,
     uniform_subsets,
 )
@@ -170,7 +171,7 @@ class Custom:
         if pos.size and pos.dtype.kind not in "iu":
             raise ValueError("custom positions must be integers")
         b = np.asarray([Basis(x) for x in np.atleast_1d(bases)], dtype=np.uint8)
-        if b.size == 1 and pos.size > 1:
+        if b.size == 1:  # one basis, for every position, however many
             b = np.full(pos.size, b[0], dtype=np.uint8)
         if pos.size != b.size:
             raise ValueError("positions and bases must have equal length")
@@ -223,10 +224,7 @@ class NonTraps:
     ) -> AttackSites:
         if traps is None:
             raise ValueError("NonTraps must know the traps, and this attack has no key")
-        free = np.ones((t, total), dtype=bool)
-        np.put_along_axis(free, traps, False, axis=1)
-        positions = np.broadcast_to(np.arange(total), free.shape)[free]
-        positions = positions.reshape(t, total - traps.shape[1])
+        positions = complement_subsets(traps, total)
         return positions, np.zeros(positions.shape, dtype=np.uint8)
 
     def analytic_cert(self, m: int, n: int) -> Optional[float]:
@@ -273,7 +271,7 @@ def adversary_intervene(
     if attack is None:
         return state, EavesdropRecord(*_EMPTY_RECORD_ARGS)
     positions, bases = attack[0][0], attack[1][0]
-    outcomes = measure_sites(state, positions, bases, rng.random(positions.shape))
+    outcomes = measure_sites(state, positions, bases, rng.random(positions.shape) >= 0.5)
     return state, EavesdropRecord(positions, bases, outcomes)
 
 
@@ -317,8 +315,8 @@ def prover_respond(
     """
     if task is Task.STORAGE:
         return StorageCert(state)
-    u = rng.random(state.shape)
-    return ErasureCert(measure_sites(state, ..., Basis.DIAGONAL, u))
+    coins = rng.random(state.shape) >= 0.5
+    return ErasureCert(measure_sites(state, ..., Basis.DIAGONAL, coins))
 
 
 class VerifyResult(NamedTuple):
@@ -343,7 +341,7 @@ def verify(
             raise ValueError("certificate length does not match key")
         positions = key.trap_positions
         outcomes = measure_sites(
-            state, positions, Basis.DIAGONAL, rng.random(positions.shape)
+            state, positions, Basis.DIAGONAL, rng.random(positions.shape) >= 0.5
         )
         if not np.array_equal(outcomes, key.trap_values):
             return VerifyResult(False, None)

@@ -9,9 +9,10 @@ coin. Either way the site collapses to the measured eigenstate.
 Superpositions other than the four eigenstates, complex phases and
 multi-qubit states are deliberately out of scope.
 
-The rule draws nothing itself: each measured site comes with one uniform
-variate in [0, 1), which the caller draws from its seeded stream (or, in
-an exact enumeration, sets to a chosen branch).
+The rule draws nothing itself: each measured site comes with one coin
+bit, the outcome in case the bases differ. The caller draws it from its
+seeded stream (the per-instance API as ``u >= 1/2`` of a uniform, the
+engine as a packed fair bit), or, in an exact enumeration, sets it.
 """
 
 from __future__ import annotations
@@ -48,31 +49,24 @@ EIGENSTATES = np.array(
 EIGENSTATES.setflags(write=False)
 
 
-def _outcomes(stored: np.ndarray, bases, u: np.ndarray) -> np.ndarray:
-    """The measurement rule: the stored bit in its own basis, else `u >= 1/2`."""
-    same = (stored >> 1) == bases
-    return np.where(same, stored & 1, u >= 0.5).astype(np.uint8)
-
-
-def measure_sites(sites: np.ndarray, index, bases, u: np.ndarray) -> np.ndarray:
+def measure_sites(sites: np.ndarray, index, bases, coins: np.ndarray) -> np.ndarray:
     """Measure the sites ``sites[index]``, collapsing them in place.
 
     `index` is any numpy index that names each site at most once: the
     positions of one state, or ``...`` for every site of a state or of a
-    batch's site array. `bases` broadcasts against
-    ``sites[index]``, and `u` holds one uniform variate per measured site,
-    in that shape. Returns the outcomes as a uint8 array of that shape.
+    batch's site array. `bases` broadcasts against ``sites[index]``, and
+    `coins` holds one bit (0/1 or bool) per measured site, in that shape.
+    The outcome is the stored bit in its own basis, else the coin. Returns
+    the outcomes as a uint8 array of that shape.
     """
     bases = np.asarray(bases, dtype=np.uint8)
-    outcomes = _outcomes(sites[index], bases, u)
+    stored = sites[index]
+    same = (stored >> 1) == bases
+    outcomes = np.where(same, stored & 1, coins).astype(np.uint8, copy=False)
     sites[index] = 2 * bases + outcomes
     return outcomes
 
 
-def measure_all_sites(sites: np.ndarray, basis: Basis, u: np.ndarray) -> np.ndarray:
-    """`measure_sites` over every site, in one basis.
-
-    The package itself calls `measure_sites`; this name stays because the
-    span tracer in ``perfbench/tracer.py`` wraps it.
-    """
-    return measure_sites(sites, ..., basis, u)
+def measure_all_sites(sites: np.ndarray, basis: Basis, coins: np.ndarray) -> np.ndarray:
+    """`measure_sites` over every site, in one basis; kept for the span tracer."""
+    return measure_sites(sites, ..., basis, coins)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,8 @@ DEMO_GOLDEN_JSONL = """\
 SWEEP_GOLDEN = """\
 m,n,task,adversary,r,trials,estimate,ci95,analytic,product,seed
 10,2,storage,"sample(r=0,uniform)",0,2000,1.0,0.000958523640626467,1.0,,1926383459
-10,2,storage,"sample(r=6,uniform)",6,2000,0.5625,0.02172067471590408,0.5568181818181829,,592467769
-10,2,storage,"sample(r=12,uniform)",12,2000,0.253,0.019040191571880197,0.25,,621272063
+10,2,storage,"sample(r=6,uniform)",6,2000,0.5315,0.021848644734557204,0.5568181818181829,,592467769
+10,2,storage,"sample(r=12,uniform)",12,2000,0.2555,0.019101831095424664,0.25,,621272063
 """
 
 BOUNDS_GOLDEN = """\
@@ -441,8 +442,11 @@ def test_python_dash_m_runs_from_a_source_tree():
 #
 # argv drawn from a grammar of every subcommand except --check, with small
 # sizes and a bounded trial count; about one value in ten is a malformed
-# token (empty, fractional, nan, inf, hex, a bare comma). Files are left
-# out: --out, --key-out and --key-in have tests of their own.
+# token (empty, fractional, nan, inf, hex, a bare comma). The file flags
+# (--out, --key-out, --key-in) name paths in a fresh temporary directory:
+# a new file, a missing one, a directory in place of a file (the tests may
+# run as root, who reads a chmod-000 file), a path under a file, malformed
+# JSON and a valid key file.
 
 _BAD = st.sampled_from(["", "x", "1.5", "nan", "inf", "-inf", "1e3", ",", "0x1"])
 
@@ -482,7 +486,15 @@ _ATTACK_FLAGS = {
     "--r": _ints(-1, 20),
     "--prefix": None,
 }
-_OUTPUT_FLAGS = {"--task": _choices("storage", "erasure"), "--format": _choices("csv", "jsonl")}
+_PATHS = st.sampled_from(
+    ["new.csv", "missing.json", "a_dir", "sub/new.csv", "valid.json/under_a_file",
+     "malformed.json", "valid.json"]
+).map(lambda name: os.path.join("{dir}", name))
+_OUTPUT_FLAGS = {
+    "--task": _choices("storage", "erasure"),
+    "--format": _choices("csv", "jsonl"),
+    "--out": _PATHS,
+}
 # (command, flags always given, flags drawn); --trials is always given, so
 # that every run stays small
 _GRAMMAR = (
@@ -507,7 +519,16 @@ _GRAMMAR = (
     (
         "erasure-demo",
         {},
-        {**_ATTACK_FLAGS, "--m": _M, "--n": _N, "--repeat": _ints(-1, 3), "--message": _BITS},
+        {
+            **_ATTACK_FLAGS,
+            "--m": _M,
+            "--n": _N,
+            "--repeat": _ints(-1, 3),
+            "--message": _BITS,
+            "--out": _PATHS,
+            "--key-out": _PATHS,
+            "--key-in": _PATHS,
+        },
     ),
     (
         "bounds",
@@ -517,6 +538,7 @@ _GRAMMAR = (
             "--epsilon": _FLOAT_LISTS,
             "--firstbit": None,
             "--format": _choices("csv", "jsonl"),
+            "--out": _PATHS,
         },
     ),
     ("keylen", {"--m": _M, "--n": _N}, {}),
@@ -552,9 +574,16 @@ def _argv(draw):
 @settings(max_examples=150, deadline=None)
 def test_every_drawn_argv_exits_zero_one_or_two(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "a_dir").mkdir()
+        (Path(tmp) / "malformed.json").write_text("{not json")
+        (Path(tmp) / "valid.json").write_text(
+            '{"m": 8, "n": 2, "trap_positions": [1, 4], "trap_values": "01"}'
+        )
+        argv = [arg.replace("{dir}", tmp) for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())

@@ -108,18 +108,56 @@ def test_subset_draw_is_uniform_over_all_3_subsets_of_6(draw):
 
 def test_uniform_subsets_picks_its_draw_from_the_sizes():
     shuffled, redrawn = encoding._shuffled_subsets, encoding._redrawn_subsets
+
+    def complement(t, total, k, rng):
+        # the complement of a redrawn subset of the other total - k
+        return encoding.complement_subsets(redrawn(t, total, total - k, rng), total)
+
     cases = (
         (1, 1050, 5, shuffled),
+        (1, 100, 90, shuffled),
+        (1, 30, 30, shuffled),
         (4096, 100, 50, shuffled),
         (4096, 100, 10, redrawn),
         (4096, 1050, 105, redrawn),
+        (4096, 100, 66, shuffled),
+        (4096, 100, 67, complement),
+        (4096, 100, 90, complement),
+        (4096, 1050, 1000, complement),
     )
     for t, total, k, draw in cases:
-        expected = draw(t, total, k, stream_rng(63, k))
-        assert np.array_equal(uniform_subsets(t, total, k, stream_rng(63, k)), expected)
+        rng, expected_rng = stream_rng(63, k), stream_rng(63, k)
+        expected = draw(t, total, k, expected_rng)
+        assert np.array_equal(uniform_subsets(t, total, k, rng), expected), (t, total, k)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+    # the full set of a batch is drawn without touching the stream
+    rng = stream_rng(63, 0)
+    before = rng.bit_generator.state
+    rows = uniform_subsets(8, 30, 30, rng)
+    assert rows.dtype == np.intp and rows.shape == (8, 30)
+    assert (rows == np.arange(30)).all()
+    assert rng.bit_generator.state == before
     # a single row is a permutation's sorted prefix, as keys were always drawn
     row = uniform_subsets(1, 120, 20, stream_rng(64, 0))[0]
     assert row.tolist() == sorted(stream_rng(64, 0).permutation(120)[:20].tolist())
+
+
+@pytest.mark.parametrize("total,k", [(6, 4), (7, 5)])
+def test_uniform_subsets_is_uniform_over_every_k_subset(total, k):
+    # 4 of 6 are shuffled; the other 2 of 7 are under a third, so each
+    # 5-subset is the complement of a redrawn 2-subset
+    trials = 60_000
+    rows = uniform_subsets(trials, total, k, stream_rng(65, total))
+    assert rows.shape == (trials, k)
+    assert (np.diff(rows, axis=1) > 0).all()
+    masks = (1 << rows).sum(axis=1)
+    subsets = [sum(1 << i for i in s) for s in itertools.combinations(range(total), k)]
+    counts = np.bincount(masks, minlength=2**total)
+    assert counts.sum() == counts[subsets].sum() == trials
+    assert stats.chisquare(counts[subsets]).pvalue > 0.001
+    p = k / total
+    inclusion = (rows == 0).any(axis=1).mean()
+    assert abs(inclusion - p) <= 3 * math.sqrt(p * (1 - p) / trials)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ from privdel.bounds import (
     firstbit_cert,
     firstbit_conditional_success,
 )
-from privdel import encoding
+from privdel import _engine, encoding
 from privdel._engine import TrialInputs, kernel
 from privdel.encoding import encode, generate_key, random_message
 from privdel.experiments import (
@@ -253,9 +254,10 @@ T1_STRATEGIES = (
 @pytest.mark.parametrize("adversary", T1_STRATEGIES, ids=lambda a: a.label)
 def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
     # a one-run kernel fed what one step-by-step run drew (its key, attack
-    # sites, message bits and measurement uniforms, replayed off copies of
-    # its stream) returns that run's verdict, attack outcomes and guess, so
-    # the engine and the per-instance API agree run by run, not only in law.
+    # sites, message bits and measurement coins, each u >= 1/2 of a uniform,
+    # replayed off copies of its stream) returns that run's verdict, attack
+    # outcomes and guess, so the engine and the per-instance API agree run
+    # by run, not only in law.
     # A legitimate run hands the kernel the dummy's bits, which it must
     # replace by the candidate's. Then all the runs, stacked into one batch,
     # must give the same rows: that crosses the row-shifted search keys in
@@ -279,15 +281,15 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
         if attack is None:
             attack = (np.empty((1, 0), dtype=np.intp), np.empty((1, 0), dtype=np.uint8))
         positions, bases = attack
-        attack_u = replay.random(positions.shape)
+        attack_coins = replay.random(positions.shape) >= 0.5
         replay = copy.deepcopy(rng)
         cert = prover_respond(state, HONEST, task, rng)
         accepted = verify(cert, key, rng).accepted
         if task is Task.STORAGE:
-            check_u = replay.random((1, n))
+            check_coins = replay.random((1, n)) >= 0.5
         else:
-            held = np.concatenate([key.trap_positions, positions[0]])
-            check_u = replay.random(total)[held][None]
+            # the prover announces every position; only the traps' count
+            check_coins = (replay.random(total) >= 0.5)[key.trap_positions][None]
         inputs = TrialInputs(
             key.trap_positions[None],
             key.trap_values[None],
@@ -295,8 +297,8 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
             bases,
             (encode(dummy, key)[positions] & 1).astype(np.uint8),
             None if legit is None else np.array([is_legit]),
-            attack_u,
-            check_u,
+            attack_coins,
+            check_coins,
         )
         ok, outcomes, _ = kernel(m, task, inputs, legit)
         assert bool(ok[0]) == accepted, i
@@ -320,14 +322,74 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
     assert mismatched.size == 0, mismatched[:5]
 
 
+# -- the engine's stream, pinned ---------------------------------------------
+#
+# One digest per draw path: traps redrawn (5 of 45), shuffled (8 of 12) or
+# the complement of a redrawn subset (8 of 10); attacks redrawn, shuffled
+# below and above half, the complement of a redrawn subset, the full set
+# with no draw, the non-traps, first bit and nothing. Storage and erasure
+# runs draw alike; a discrimination run also draws its legit coins and,
+# after the kernel, the coins of any guess made without position 0.
+
+STREAM_PINS = (
+    # (m, n, adversary, storage and erasure digest, discrimination digest)
+    (40, 5, NoOp(), "38add142c33a2033", "bc31040c16440968"),
+    (40, 5, FirstBit(), "0c7d22d9e74aa30a", "35368982a2e723d7"),
+    (40, 5, RectilinearSample(4), "7a3b881244e05b22", "5783228df1159cfc"),
+    (40, 5, RectilinearSample(20), "16eff6c84380a83c", "6bc621af868aee86"),
+    (40, 5, RectilinearSample(30), "060e2861560c4fee", "453e00cfd82854db"),
+    (40, 5, RectilinearSample(42), "839398cb15968473", "60d8f65278b786f8"),
+    (40, 5, RectilinearSample(45), "dde607d48f245e45", "12e65a49b52c1a52"),
+    (40, 5, NonTraps(), "564ce5a0e245d0ef", "777d004b91e98634"),
+    (4, 8, NoOp(), "708f3ef2048b53b4", "d1bb8f15829650b5"),
+    (2, 8, NoOp(), "788e331a6d076743", "7958da332f4ee607"),
+)
+
+
+def batch_digest(m, n, task, adversary, legit):
+    """The first 16 hex digits of the sha256 of every input array one
+    64-run batch drew, and of the next 8 bytes of its stream."""
+    rng = stream_rng(2026, m + n)
+    inputs = _engine.run_batch(m, n, task, adversary, 64, rng, legit).inputs
+    digest = hashlib.sha256()
+    for field, array in zip(TrialInputs._fields, inputs):
+        digest.update(field.encode())
+        if array is not None:
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(rng.bytes(8))
+    return digest.hexdigest()[:16]
+
+
+def test_engine_stream_is_pinned():
+    # every seeded engine output and Monte-Carlo gate rests on these draws,
+    # so a change here re-rolls all of them at once: make it only on
+    # purpose, regenerate each re-rolled golden once and let no gate be
+    # re-seeded, widened or resized (ROADMAP aim 3)
+    drifted = []
+    for m, n, adversary, cert_pin, discr_pin in STREAM_PINS:
+        got = (
+            batch_digest(m, n, Task.STORAGE, adversary, None),
+            batch_digest(m, n, Task.ERASURE, adversary, None),
+            batch_digest(m, n, Task.STORAGE, adversary, np.zeros(m, np.uint8)),
+        )
+        if got != (cert_pin, cert_pin, discr_pin):
+            drifted.append((m, n, adversary.label, *got))
+    assert not drifted, f"the engine's random stream changed (ROADMAP aim 3): {drifted}"
+    # the full set is a batch's only subset drawn without the stream
+    rng = stream_rng(2026, 0)
+    before = rng.bit_generator.state
+    encoding.uniform_subsets(64, 45, 45, rng)
+    assert rng.bit_generator.state == before
+
+
 # -- exact enumeration oracle for the engine kernel ------------------------
 #
 # At m+n <= 6 every input of the kernel can be listed: trap set, trap values,
-# attacked subset, one uniform per measured site and, where the guess reads
-# them, the legit/dummy coin and message bits. Each uniform is set to 1/4 or
-# 3/4 (the measurement rule only asks u >= 1/2, so the two branches are
-# equally likely). Counting over all of them gives the kernel's exact law,
-# which must equal the closed forms as fractions.
+# attacked subset, one coin bit per measured site and, where the guess reads
+# them, the legit/dummy coin and message bits. Every bit, coins included, is
+# enumerated as 0 and 1, each branch once. Counting over all of them gives
+# the kernel's exact law, which must equal the closed forms as fractions.
 
 ENUMERATED_SIZES = ((2, 1), (3, 2), (4, 2))
 
@@ -341,11 +403,6 @@ def every_row(*factors):
 def bit_rows(width):
     """All 2^width bit vectors."""
     return ((np.arange(2**width)[:, None] >> np.arange(width)) & 1).astype(np.uint8)
-
-
-def uniform_rows(width):
-    """Both branches of each of `width` measurements."""
-    return 0.25 + 0.5 * bit_rows(width)
 
 
 def subset_rows(total, k):
@@ -363,13 +420,12 @@ def test_kernel_acceptance_is_the_exact_law_by_enumeration(m, n, task):
     total = m + n
     for r in range(total + 1):
         positions = subset_rows(total, r)
-        check_width = n if task is Task.STORAGE else n + r
         for bases in (np.zeros(r), np.ones(r), np.arange(r) % 2):
             bases = bases.astype(np.uint8)
             accepted = runs = 0
             for traps in subset_rows(total, n):
-                values, pos, attack_u, check_u = every_row(
-                    bit_rows(n), positions, uniform_rows(r), uniform_rows(check_width)
+                values, pos, attack_coins, check_coins = every_row(
+                    bit_rows(n), positions, bit_rows(r), bit_rows(n)
                 )
                 t = len(values)
                 inputs = TrialInputs(
@@ -379,8 +435,8 @@ def test_kernel_acceptance_is_the_exact_law_by_enumeration(m, n, task):
                     np.tile(bases, (t, 1)),
                     np.zeros((t, r), dtype=np.uint8),
                     None,
-                    attack_u,
-                    check_u,
+                    attack_coins,
+                    check_coins,
                 )
                 ok, outcomes, _ = kernel(m, task, inputs)
                 assert outcomes.shape == (t, r)
@@ -397,16 +453,15 @@ def test_kernel_firstbit_is_exact_by_enumeration(m, n, task):
     # every candidate message, trap set, trap values, legit/dummy coin,
     # dummy bit at position 0 and measurement branch
     total = m + n
-    check_width = n if task is Task.STORAGE else n + 1
     accepted = correct_accepted = runs = 0
     for legit in bit_rows(m):
-        traps, values, is_legit, bits, attack_u, check_u = every_row(
+        traps, values, is_legit, bits, attack_coins, check_coins = every_row(
             subset_rows(total, n),
             bit_rows(n),
             bit_rows(1),
             bit_rows(1),
-            uniform_rows(1),
-            uniform_rows(check_width),
+            bit_rows(1),
+            bit_rows(n),
         )
         t = len(traps)
         inputs = TrialInputs(
@@ -416,8 +471,8 @@ def test_kernel_firstbit_is_exact_by_enumeration(m, n, task):
             np.zeros((t, 1), dtype=np.uint8),
             bits,
             is_legit[:, 0].astype(bool),
-            attack_u,
-            check_u,
+            attack_coins,
+            check_coins,
         )
         ok, outcomes, _ = kernel(m, task, inputs, legit)
         # position 0 is always read rectilinearly, so no fallback coin: rng=None
@@ -446,11 +501,13 @@ def test_kernel_nontraps_is_exact_by_enumeration(m, n, task, basis):
     # every run is accepted; it reads the message and leaves those sites
     total = m + n
     strategy = NonTraps()
-    check_width = n if task is Task.STORAGE else total
+    # the erasure prover also announces the m attacked sites, with m coins
+    # of their own that the kernel never reads
+    announce_width = 0 if task is Task.STORAGE else m
     accepted = runs = 0
     for traps in subset_rows(total, n):
-        values, bits, attack_u, check_u = every_row(
-            bit_rows(n), bit_rows(m), uniform_rows(m), uniform_rows(check_width)
+        values, bits, attack_coins, check_coins, announce_coins = every_row(
+            bit_rows(n), bit_rows(m), bit_rows(m), bit_rows(n), bit_rows(announce_width)
         )
         t = len(values)
         trap_rows = np.tile(traps, (t, 1))
@@ -458,17 +515,16 @@ def test_kernel_nontraps_is_exact_by_enumeration(m, n, task, basis):
         held = np.sort(np.concatenate([trap_rows, positions], axis=1))
         assert (held == np.arange(total)).all()
         inputs = TrialInputs(
-            trap_rows, values, positions, bases, bits, None, attack_u, check_u
+            trap_rows, values, positions, bases, bits, None, attack_coins, check_coins
         )
         ok, outcomes, sites = kernel(m, task, inputs)
         assert (bases == basis).all()
         assert np.array_equal(outcomes, bits)
         assert np.array_equal(sites, 2 * basis + bits)
         if task is Task.ERASURE:
-            # the prover's diagonal announcements of the m attacked sites,
-            # from the uniforms past the traps', hit every pattern equally
-            # often for every message
-            announced = measure_sites(sites, ..., Basis.DIAGONAL, check_u[:, n:])
+            # the prover's diagonal announcements of the m attacked sites
+            # hit every pattern equally often for every message
+            announced = measure_sites(sites, ..., Basis.DIAGONAL, announce_coins)
             weights = 1 << np.arange(m)
             pairs = (bits @ weights << m) + announced @ weights
             counts = np.bincount(pairs, minlength=4**m)

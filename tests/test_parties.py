@@ -99,12 +99,28 @@ def test_attack_validation_errors():
     for positions, bases in ((3, 0), ([[1, 2]], 0), ([1, 2], [[0, 1]])):
         with pytest.raises(ValueError, match="1-D"):
             Custom(positions, bases)
+    with pytest.raises(ValueError, match="equal length"):
+        Custom([1, 2, 3], [0, 1])
     with pytest.raises(ValueError):
         adversary_intervene(state, Custom([9], Basis.RECTILINEAR), rng)
     with pytest.raises(ValueError):
         RectilinearSample(-1)
     with pytest.raises(ValueError, match="no key"):
         adversary_intervene(state, NonTraps(), rng)
+
+
+@pytest.mark.parametrize("positions", [[], [4], [4, 1, 7]], ids=len)
+def test_custom_spreads_one_basis_over_any_number_of_positions(positions):
+    # one basis, as a scalar or a one-element list, is every position's;
+    # with no positions it is accepted as an empty list of bases is
+    expected = [int(Basis.DIAGONAL)] * len(positions)
+    for bases in (Basis.DIAGONAL, 1, [1], expected):
+        probe = Custom(positions, bases)
+        assert probe.positions.tolist() == sorted(positions)
+        assert probe.bases.tolist() == expected
+        assert probe.label == f"custom({len(positions)})"
+    none = Custom([], 0).sites(3, 10, None, None)
+    assert none[0].shape == none[1].shape == (3, 0)
 
 
 def test_prefix_sampling_measures_the_first_positions():
