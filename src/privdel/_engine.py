@@ -82,7 +82,7 @@ def draw(
 
 
 def kernel(
-    m: int, task: Task, inputs: TrialInputs, legit: Optional[np.ndarray] = None
+    m: int, inputs: TrialInputs, legit: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t,) acceptance verdicts, (t, k) attack outcomes and the (t, k)
     attacked sites as the attack left them, a pure function of the inputs.
@@ -201,10 +201,11 @@ def run_batch(
 
     With `legit` set, each run carries the candidate message or a fresh
     uniform dummy with equal probability, and the adversary guesses which;
-    fallback guess coins are drawn last.
+    fallback guess coins are drawn last. Storage and erasure runs draw and
+    are checked alike, so `task` changes nothing here.
     """
     inputs = draw(m, n, adversary, t, rng, discr=legit is not None)
-    accepted, outcomes, sites = kernel(m, task, inputs, legit)
+    accepted, outcomes, sites = kernel(m, inputs, legit)
     guesses = None
     if legit is not None:
         guesses = guess_legit(inputs.positions, inputs.bases, outcomes, int(legit[0]), rng)

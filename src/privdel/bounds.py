@@ -132,9 +132,8 @@ def firstbit_conditional_success(m: int, n: int) -> float:
 def analytic_cert_probability(m, n, strategy) -> float | None:
     """Exact acceptance probability for a strategy, when a closed form exists.
 
-    The strategy supplies its own closed form (`analytic_cert`): no-op,
-    rectilinear sampling and the first-bit probe have one; key-dependent
-    custom strategies return None.
+    The strategy supplies its own closed form (`analytic_cert`); every
+    strategy has one.
     """
     return strategy.analytic_cert(m, n)
 

@@ -12,7 +12,7 @@ positions all come from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +62,8 @@ def uniform_subsets(
 ) -> np.ndarray:
     """(t, k) row-sorted uniform k-subsets of range(total).
 
-    One row (t == 1) is the sorted first k entries of a uniform shuffle,
-    the draws of ``rng.permutation(total)``, as keys always were. A batch
+    One row (t == 1) is the sorted first k entries of
+    ``rng.permutation(total)``, as keys always were. A batch
     picks its draw from the sizes: the full set is ``arange`` rows, with no
     draw; if the other total - k are under a third, they are redrawn and
     each row is their complement (`complement_subsets`); else from a third
@@ -74,10 +74,10 @@ def uniform_subsets(
     k=33 7.9 vs 7.0, k=40 7.9 vs 9.5. Shuffled vs complement: total=100
     k=75 6.7 vs 5.3 ms, k=90 6.6 vs 2.3, k=100 (no draw) 8.0 vs 0.3;
     total=1050 k=800 86 vs 49, k=1000 91 vs 11. At t=1 the redraw loses:
-    8.6 vs 28 us at (120, 20).
+    4 (the permutation) vs 28 us at (120, 20).
     """
-    if t == 1:
-        return _shuffled_subsets(t, total, k, rng)
+    if t == 1:  # the same draws and rows as a one-row `_shuffled_subsets`
+        return np.sort(rng.permutation(total)[:k])[None]
     if k == total:
         return np.arange(total, dtype=np.intp)[None].repeat(t, axis=0)
     if 3 * (total - k) < total:
@@ -137,22 +137,28 @@ class SecretKey:
     total_length: int
     trap_positions: np.ndarray
     trap_values: np.ndarray
+    _non_traps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # lists and tuples are held as arrays, as if the caller had passed those
-        for name in ("trap_positions", "trap_values"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        pos, vals = self.trap_positions, self.trap_values
+        pos, vals = np.asarray(self.trap_positions), np.asarray(self.trap_values)
+        object.__setattr__(self, "trap_positions", pos)
+        object.__setattr__(self, "trap_values", vals)
         if pos.ndim != 1 or pos.shape != vals.shape or pos.size < 1:
             raise ValueError("need at least one trap and 1-D positions and values of one length")
         if pos[0] < 0 or pos[-1] >= self.total_length:
             raise ValueError("trap positions out of range")
-        if pos.size > 1 and not (np.diff(pos) > 0).all():
+        if np.count_nonzero(pos[1:] <= pos[:-1]):
             raise ValueError("trap positions must be strictly increasing")
         # a uint8 array needs only its maximum checked, other dtypes every value
         bits = vals.max() <= 1 if vals.dtype == np.uint8 else np.isin(vals, (0, 1)).all()
         if not bits:
             raise ValueError("trap values must be bits")
+        is_trap = np.zeros(self.total_length, dtype=bool)
+        is_trap[pos] = True
+        non_traps = (~is_trap).nonzero()[0]
+        non_traps.setflags(write=False)
+        object.__setattr__(self, "_non_traps", non_traps)
 
     @property
     def num_traps(self) -> int:
@@ -163,9 +169,9 @@ class SecretKey:
         return self.total_length - self.num_traps
 
     def non_trap_positions(self) -> np.ndarray:
-        mask = np.ones(self.total_length, dtype=bool)
-        mask[self.trap_positions] = False
-        return np.flatnonzero(mask)
+        """The m message positions, increasing: computed once, at
+        construction, and read-only."""
+        return self._non_traps
 
 
 def generate_key(m: int, n: int, rng: np.random.Generator) -> SecretKey:

@@ -157,30 +157,34 @@ class Custom:
     """Measure an explicit set of positions, each in its own basis.
 
     Positions not listed are skipped. Only the rectilinear and diagonal
-    bases are allowed. Used for planted diagnostics at fixed positions. Its
-    acceptance law depends on the key, so it has no closed-form references.
+    bases are allowed. Used for planted diagnostics at fixed positions.
+    Each run draws a fresh key: a trap measured diagonally is never
+    disturbed, and the fixed rectilinear positions hit a hypergeometric
+    number of traps, so acceptance follows `cert_exact` over the count of
+    rectilinear positions. The guess has no closed form.
     """
 
     positions: np.ndarray
     bases: np.ndarray
 
     def __init__(self, positions, bases) -> None:
-        pos = np.asarray(positions)
-        if pos.ndim != 1 or np.ndim(bases) > 1:
+        pos, b = np.asarray(positions), np.asarray(bases)
+        if pos.ndim != 1 or b.ndim > 1:
             raise ValueError("custom positions must be 1-D, and bases 1-D or one basis")
         if pos.size and pos.dtype.kind not in "iu":
             raise ValueError("custom positions must be integers")
-        b = np.asarray([Basis(x) for x in np.atleast_1d(bases)], dtype=np.uint8)
+        b = np.asarray([Basis(x) for x in b.reshape(-1)], dtype=np.uint8)
         if b.size == 1:  # one basis, for every position, however many
             b = np.full(pos.size, b[0], dtype=np.uint8)
         if pos.size != b.size:
             raise ValueError("positions and bases must have equal length")
-        if pos.size != np.unique(pos).size:
-            raise ValueError("custom positions must be distinct")
-        if pos.size and pos.min() < 0:
-            raise ValueError("custom positions must be non-negative")
         order = np.argsort(pos)
-        self.positions = pos[order].astype(np.intp)
+        ordered = pos[order]
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):
+            raise ValueError("custom positions must be distinct")
+        if ordered.size and ordered[0] < 0:
+            raise ValueError("custom positions must be non-negative")
+        self.positions = ordered.astype(np.intp, copy=False)
         self.bases = b[order]
 
     @property
@@ -199,7 +203,7 @@ class Custom:
         return positions, self.bases[None].repeat(t, axis=0)
 
     def analytic_cert(self, m: int, n: int) -> Optional[float]:
-        return None
+        return bounds.cert_exact(m, n, np.count_nonzero(self.bases == Basis.RECTILINEAR))
 
     def analytic_discr(self, m: int, n: int) -> Optional[float]:
         return None
@@ -343,14 +347,14 @@ def verify(
         outcomes = measure_sites(
             state, positions, Basis.DIAGONAL, rng.random(positions.shape) >= 0.5
         )
-        if not np.array_equal(outcomes, key.trap_values):
+        if not (outcomes == key.trap_values).all():
             return VerifyResult(False, None)
         return VerifyResult(True, decode_non_trap(state, key, rng))
     if isinstance(certificate, ErasureCert):
         announced = as_bits(certificate.announced)
         if announced.size != key.total_length:
             raise ValueError("certificate length does not match key")
-        ok = bool(np.array_equal(announced[key.trap_positions], key.trap_values))
+        ok = bool((announced[key.trap_positions] == key.trap_values).all())
         return VerifyResult(ok, None)
     raise TypeError(f"unknown certificate type: {certificate!r}")
 
@@ -373,11 +377,15 @@ def guess_legit(
     when some run needs one. Positions increase along the attack axis, as
     every strategy draws them, so position 0 can only be the first entry.
     """
-    # size None draws the one coin of a single run as a scalar: same stream
-    shape = positions.shape[:-1] or None
+    rectilinear = int(Basis.RECTILINEAR)  # a numpy scalar == an IntEnum takes microseconds
+    if positions.ndim == 1:  # one run, read as scalars; its coin is drawn as one
+        if positions.size and positions[0] == 0 and bases[0] == rectilinear:
+            return outcomes[0] == first_bit
+        return rng.integers(0, 2, dtype=np.uint8) == 1
+    shape = positions.shape[:-1]
     if positions.shape[-1] == 0:
         return rng.integers(0, 2, shape, dtype=np.uint8).astype(bool)
-    saw_zero = (positions[..., 0] == 0) & (bases[..., 0] == int(Basis.RECTILINEAR))
+    saw_zero = (positions[..., 0] == 0) & (bases[..., 0] == rectilinear)
     guess = outcomes[..., 0] == first_bit
     if saw_zero.all():
         return guess

@@ -59,11 +59,11 @@ def measure_sites(sites: np.ndarray, index, bases, coins: np.ndarray) -> np.ndar
     The outcome is the stored bit in its own basis, else the coin. Returns
     the outcomes as a uint8 array of that shape.
     """
-    bases = np.asarray(bases, dtype=np.uint8)
-    stored = sites[index]
-    same = (stored >> 1) == bases
-    outcomes = np.where(same, stored & 1, coins).astype(np.uint8, copy=False)
-    sites[index] = 2 * bases + outcomes
+    shifted = np.asarray(bases, dtype=np.uint8) << 1
+    # a site XOR its measured basis shifted up: its bit in its own basis, else 2 or 3
+    stored = sites[index] ^ shifted
+    outcomes = np.where(stored < 2, stored, coins).astype(np.uint8, copy=False)
+    sites[index] = shifted | outcomes
     return outcomes
 
 

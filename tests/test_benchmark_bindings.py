@@ -21,6 +21,7 @@ import privdel
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import run  # noqa: E402
+import tracer as tracing  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PD = SimpleNamespace(
@@ -37,3 +38,35 @@ def test_first_cycle_of_each_workload_passes_its_gate(name):
     for request in requests:
         assert request.check(request.fn(*request.args)), request.label
     assert not workload.tally.failures()
+
+
+#: every per-instance step the span tracer wraps, by its layer-qualified name
+INSTANCE_STEPS = (
+    "experiments.stream_rng",
+    "encoding.random_message",
+    "encoding.generate_key",
+    "encoding.encode",
+    "encoding.decode_non_trap",
+    "parties.adversary_intervene",
+    "parties.prover_respond",
+    "parties.verify",
+    "parties.discr_guess",
+    "qubit.measure_sites",
+)
+
+
+def test_the_tracer_sees_every_per_instance_step():
+    # a step inlined into its caller, or called through a binding the
+    # tracer cannot rebind, would leave its column of a traced run empty
+    workload = WORKLOADS["instance"](PD, seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for request in workload.cycle(0):
+            request.fn(*request.args)
+    finally:
+        tracer.restore()
+    assert tracer.absent == []
+    assert tracer.counter_failures == 0
+    unseen = [name for name in INSTANCE_STEPS if tracer.stats[name].calls == 0]
+    assert unseen == []

@@ -215,12 +215,33 @@ def test_secret_key_takes_lists_and_tuples_as_their_arrays():
         assert isinstance(key.trap_values, np.ndarray)
         assert key.non_trap_positions().tolist() == [0, 2, 4, 5, 6]
         assert np.array_equal(encode("10110", key), encode("10110", array_key))
-    with pytest.raises(ValueError, match="increasing"):
-        SecretKey(7, [3, 1], [0, 1])
+    for unsorted in ([3, 1], [5, -1], [1, 1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SecretKey(7, unsorted, [0, 1])
     with pytest.raises(ValueError, match="bits"):
         SecretKey(7, [1, 3], [0, 2])
     with pytest.raises(ValueError, match="at least one trap"):
         SecretKey(7, [], [])
+
+
+def test_secret_key_holds_its_non_trap_positions_read_only():
+    sizes = ((1, 1), (9, 4), (100, 20), (5, 20))
+    keys = [generate_key(m, n, stream_rng(66, m)) for m, n in sizes]
+    keys += [SecretKey(7, [1, 3], [0, 1]), key_from_json(key_to_json(keys[2]))]
+    for key in keys:
+        mask = np.ones(key.total_length, dtype=bool)
+        mask[key.trap_positions] = False
+        non_traps = key.non_trap_positions()
+        assert non_traps.dtype == np.intp
+        assert non_traps.tolist() == np.flatnonzero(mask).tolist()
+        assert key.non_trap_positions() is non_traps
+        with pytest.raises(ValueError, match="read-only"):
+            non_traps[0] = 0
+    # the cached positions are not part of the key's repr or equality
+    key = SecretKey(7, [3], [1])
+    assert repr(key) == "SecretKey(total_length=7, trap_positions=array([3]), trap_values=array([1]))"
+    assert key == SecretKey(7, [3], [1])
+    assert key != SecretKey(8, [3], [1])
 
 
 def test_key_length_examples():

@@ -155,7 +155,7 @@ def test_custom_probe_through_the_engine():
             seed=32,
         )
     )
-    assert report.analytic_reference is None
+    assert report.analytic_reference == p
     assert abs(report.estimate - p) <= three_sigma(p, 40_000)
 
 
@@ -300,7 +300,7 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
             attack_coins,
             check_coins,
         )
-        ok, outcomes, _ = kernel(m, task, inputs, legit)
+        ok, outcomes, _ = kernel(m, inputs, legit)
         assert bool(ok[0]) == accepted, i
         assert np.array_equal(outcomes[0], record.outcomes), i
         if legit is not None:
@@ -314,7 +314,7 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
     batch = TrialInputs(
         *(None if rows[0] is None else np.concatenate(rows) for rows in zip(*every_inputs))
     )
-    ok, outcomes, _ = kernel(m, task, batch, legit)
+    ok, outcomes, _ = kernel(m, batch, legit)
     assert ok.tolist() == verdicts
     expected = np.stack(every_outcomes)
     assert outcomes.shape == expected.shape
@@ -438,13 +438,44 @@ def test_kernel_acceptance_is_the_exact_law_by_enumeration(m, n, task):
                     attack_coins,
                     check_coins,
                 )
-                ok, outcomes, _ = kernel(m, task, inputs)
+                ok, outcomes, _ = kernel(m, inputs)
                 assert outcomes.shape == (t, r)
                 accepted += int(ok.sum())
                 runs += t
             rectilinear = r - int(bases.sum())
             expected = cert_exact_fraction(m, n, rectilinear)
             assert Fraction(accepted, runs) == expected, (r, bases.tolist())
+
+
+@pytest.mark.parametrize("m,n", ENUMERATED_SIZES)
+def test_custom_acceptance_is_exact_by_enumeration(m, n):
+    # one fixed mixed-basis position set against every trap set, trap
+    # values and coins: a trap measured diagonally is never disturbed, so
+    # only the rectilinear positions count, as a sample of that many
+    total = m + n
+    strategy = Custom([0, 1, total - 1], [Basis.RECTILINEAR, Basis.DIAGONAL, Basis.RECTILINEAR])
+    k = strategy.positions.size
+    accepted = runs = 0
+    for traps in subset_rows(total, n):
+        values, attack_coins, check_coins = every_row(bit_rows(n), bit_rows(k), bit_rows(n))
+        t = len(values)
+        positions, bases = strategy.sites(t, total, None, None)
+        inputs = TrialInputs(
+            np.tile(traps, (t, 1)),
+            values,
+            positions,
+            bases,
+            np.zeros((t, k), dtype=np.uint8),
+            None,
+            attack_coins,
+            check_coins,
+        )
+        ok, _, _ = kernel(m, inputs)
+        accepted += int(ok.sum())
+        runs += t
+    expected = cert_exact_fraction(m, n, 2)
+    assert Fraction(accepted, runs) == expected
+    assert strategy.analytic_cert(m, n) == pytest.approx(float(expected), rel=1e-15)
 
 
 @pytest.mark.parametrize("task", [Task.STORAGE, Task.ERASURE], ids=lambda task: task.value)
@@ -474,7 +505,7 @@ def test_kernel_firstbit_is_exact_by_enumeration(m, n, task):
             attack_coins,
             check_coins,
         )
-        ok, outcomes, _ = kernel(m, task, inputs, legit)
+        ok, outcomes, _ = kernel(m, inputs, legit)
         # position 0 is always read rectilinearly, so no fallback coin: rng=None
         guesses = guess_legit(inputs.positions, inputs.bases, outcomes, int(legit[0]), None)
         accepted += int(ok.sum())
@@ -517,7 +548,7 @@ def test_kernel_nontraps_is_exact_by_enumeration(m, n, task, basis):
         inputs = TrialInputs(
             trap_rows, values, positions, bases, bits, None, attack_coins, check_coins
         )
-        ok, outcomes, sites = kernel(m, task, inputs)
+        ok, outcomes, sites = kernel(m, inputs)
         assert (bases == basis).all()
         assert np.array_equal(outcomes, bits)
         assert np.array_equal(sites, 2 * basis + bits)
@@ -672,7 +703,7 @@ def test_report_row_echoes_the_parameter_set():
             firstbit_cert(m, n),
             firstbit_conditional_success(m, n),
         ),
-        (Custom([1, 4, 9], Basis.RECTILINEAR), "custom(3)", 3, None, None),
+        (Custom([1, 4, 9], Basis.RECTILINEAR), "custom(3)", 3, cert_exact(m, n, 3), None),
         (NonTraps(), "nontraps", m, 1.0, None),
     )
     for adversary, label, r, analytic, discr_reference in cases:

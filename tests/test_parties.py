@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -92,6 +93,13 @@ def test_attack_validation_errors():
         Custom([1, 1], Basis.RECTILINEAR)
     with pytest.raises(ValueError, match="non-negative"):
         Custom([-1], Basis.RECTILINEAR)
+    # unsorted: duplicates are named before a negative position
+    with pytest.raises(ValueError, match="distinct"):
+        Custom([5, 1, 5], Basis.RECTILINEAR)
+    with pytest.raises(ValueError, match="distinct"):
+        Custom([-1, 3, -1], Basis.RECTILINEAR)
+    with pytest.raises(ValueError, match="non-negative"):
+        Custom([3, -1], Basis.RECTILINEAR)
     # a fractional position is refused, not truncated to position 1
     with pytest.raises(ValueError, match="integers"):
         Custom([1.5], Basis.RECTILINEAR)
@@ -300,3 +308,55 @@ def test_transcript_schema_and_labels():
     assert adversary_label(NoOp()) == "noop"
     assert adversary_label(FirstBit()) == "firstbit"
     assert adversary_label(RectilinearSample(3)).startswith("sample(r=3")
+
+
+# -- the per-instance stream, pinned ------------------------------------------
+#
+# One instance per strategy and task, at three sizes: the demo and the
+# erasure criterion run these steps, so every draw they make (method, size,
+# dtype, order) and every array they return is held by one digest.
+
+INSTANCE_STRATEGIES = (
+    NoOp(),
+    RectilinearSample(6),
+    RectilinearSample(6, PositionChoice.PREFIX),
+    FirstBit(),
+    Custom([9, 0, 12, 3, 5], [1, 0, 1, 1, 0]),
+)
+
+
+def test_instance_stream_is_pinned():
+    digest = hashlib.sha256()
+
+    def add(value):
+        if isinstance(value, np.ndarray):
+            digest.update(f"{value.dtype.str}{value.shape}".encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        else:
+            digest.update(repr(value).encode())
+
+    stream = 0
+    for m, n in ((100, 20), (9, 4), (5, 20)):
+        for task in (Task.STORAGE, Task.ERASURE):
+            for strategy in INSTANCE_STRATEGIES:
+                rng = stream_rng(2026, stream)
+                stream += 1
+                message = random_message(m, rng)
+                key = generate_key(m, n, rng)
+                state = encode(message, key)
+                add(state)  # before the attack collapses it in place
+                state, record = adversary_intervene(state, strategy, rng)
+                cert = prover_respond(state, HONEST, task, rng)
+                result = verify(cert, key, rng)
+                guess = discr_guess(record, message, rng)
+                for array in (message, key.trap_positions, key.trap_values, state):
+                    add(array)
+                for array in (record.measured_positions, record.measured_bases, record.outcomes):
+                    add(array)
+                add(cert.returned if task is Task.STORAGE else cert.announced)
+                add(result.accepted)
+                add(result.recovered)
+                add(guess)
+                add(rng.bytes(8))
+    # every seeded demo and per-instance criterion rests on these draws
+    assert digest.hexdigest()[:16] == "24773f0ca2a24c57"
