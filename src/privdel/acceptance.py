@@ -8,11 +8,8 @@ numbers.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -97,20 +94,31 @@ def _trap_survival_factor() -> Fraction:
     return total
 
 
+@functools.cache
+def _subset_counts(total: int) -> np.ndarray:
+    """Read-only counts[n, r, h]: r-subsets of range(total) with h of its first
+    n positions, from one walk over every subset as a bitmask."""
+    side = total + 1
+    bits = np.arange(1 << total)[:, None] >> np.arange(total) & 1
+    hits = np.pad(bits.cumsum(axis=1), ((0, 0), (1, 0)))  # column n: hits among the first n
+    cells = (np.arange(side) * side + hits[:, -1:]) * side + hits
+    counts = np.bincount(cells.ravel(), minlength=side**3).reshape(side, side, side)
+    counts.setflags(write=False)
+    return counts
+
+
 def enumerated_cert_fraction(m: int, n: int, r: int) -> Fraction:
     """Brute-force acceptance probability: every position choice, every branch.
 
     Traps sit at the first n positions (the uniform adversary choice makes
     the placement irrelevant); each r-subset contributes the product of
     per-trap survival factors, each factor itself enumerated from the
-    Born-rule geometry. Exact rational arithmetic throughout. Subsets come
-    sorted, so bisecting one at n counts its trap hits.
+    Born-rule geometry. Exact integers, over the denominator q^(m+n) of p/q.
     """
-    survival = _trap_survival_factor()
-    subsets = itertools.combinations(range(m + n), r)
-    per_hits = Counter(bisect.bisect_left(subset, n) for subset in subsets)
-    total = sum(Fraction(count) * survival**hits for hits, count in per_hits.items())
-    return total / sum(per_hits.values())
+    p, q = _trap_survival_factor().as_integer_ratio()
+    per_hits = _subset_counts(m + n)[n, r].tolist()
+    weighted = sum(c * p**h * q ** (m + n - h) for h, c in enumerate(per_hits))
+    return Fraction(weighted, q ** (m + n) * sum(per_hits))
 
 
 def check_sampling_exact_law(trials: int = 100_000) -> CriterionResult:
@@ -382,6 +390,17 @@ def check_wegman_carter() -> CriterionResult:
     hashes = np.stack([auth.poly_hash(matrix, k, 4) for k in range(16)], axis=1)
     packed = dict(zip((1, 2, 3), np.split(_pack_rows(hashes), [16, 16 + 16**2])))
 
+    # the sweeps take one row per class, so they rest on linearity: row i of
+    # class L is its row 0 XOR (L=3 row i*16^(3-L) XOR L=3 row 0), and those
+    # differences are XOR-spanned by the twelve one-bit L=3 rows
+    data = packed[3] ^ packed[3][0]
+    span = np.zeros(1, np.uint64)
+    for bit in range(12):
+        span = np.concatenate([span, span ^ data[1 << bit]])
+    shared = all((packed[L] ^ packed[L][0] == data[:: 16 ** (3 - L)]).all() for L in (1, 2))
+    if (span != data).any() or not shared:
+        problems.append("poly_hash is not GF(2)-linear in the data blocks")
+
     # equal block counts: difference polynomials have degree <= L, so any
     # forgery (M', delta) succeeds for at most L of the 16 hash keys; the
     # all-zero message's row (the shared length term) against every other
@@ -391,10 +410,11 @@ def check_wegman_carter() -> CriterionResult:
             problems.append(f"equal-length forgery beats {L}/16 bound at L={L}")
 
     # different block counts: the length blocks sit at different degrees,
-    # so the difference has degree at most max(L)+1
+    # so the difference has degree at most max(L)+1; by linearity, the
+    # shorter class's row 0 gives the differences of each of its rows
     for l_small, l_big in ((1, 2), (1, 3), (2, 3)):
         limit = l_big + 1
-        if not _max_multiplicity_ok(packed[l_small], packed[l_big], limit):
+        if not _max_multiplicity_ok(packed[l_small][:1], packed[l_big], limit):
             problems.append(
                 f"cross-length forgery beats {limit}/16 bound at ({l_small},{l_big})"
             )

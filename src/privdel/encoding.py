@@ -48,7 +48,7 @@ def as_bits(bits) -> np.ndarray:
 
 
 def bits_to_string(bits: np.ndarray) -> str:
-    return "".join("1" if b else "0" for b in np.asarray(bits))
+    return np.where(np.asarray(bits) != 0, b"1", b"0").tobytes().decode("ascii")
 
 
 def random_message(m: int, rng: np.random.Generator) -> Message:
@@ -69,13 +69,13 @@ def uniform_subsets(
     each row is their complement (`complement_subsets`); else from a third
     up, rows are sorted shuffle prefixes, and below, k draws with their
     duplicates redrawn (`_redrawn_subsets`), O(k log k) per row. At t=4096
-    on 2 cores, shuffled vs redrawn: total=1050 k=50 94 vs 5.7 ms, k=105
-    66 vs 21, k=263 98 vs 70, k=315 86 vs 102; total=100 k=10 6.8 vs 1.4,
-    k=33 7.9 vs 7.0, k=40 7.9 vs 9.5. Shuffled vs complement: total=100
-    k=75 6.7 vs 5.3 ms, k=90 6.6 vs 2.3, k=100 (no draw) 8.0 vs 0.3;
-    total=1050 k=800 86 vs 49, k=1000 91 vs 11. At t=1 the redraw loses:
-    4 (the permutation) vs 28 us at (120, 20).
-    """
+    on 2 cores, shuffled vs redrawn: total=1050 k=50 62 vs 2.7 ms, k=105
+    70 vs 5.7, k=263 66 vs 27, k=315 65 vs 35; total=100 k=10 4.9 vs 0.6,
+    k=33 5.4 vs 2.9, k=40 5.4 vs 4.0. Shuffled vs complement: total=100
+    k=75 6.1 vs 4.2 ms, k=90 5.9 vs 1.9, k=100 (no draw) 8.3 vs 0.2;
+    total=1050 k=800 81 vs 44, k=1000 88 vs 9.9 (the thresholds fix the
+    stream). At (120, 20) the redraw loses at t=1, 4 (the permutation) vs
+    28 us, and t=8, 15 vs 52 us; at t=64 the two tie."""
     if t == 1:  # the same draws and rows as a one-row `_shuffled_subsets`
         return np.sort(rng.permutation(total)[:k])[None]
     if k == total:
@@ -112,22 +112,24 @@ def _redrawn_subsets(
 
     The redraw rule looks only at which entries are equal, never at their
     values, so relabeling range(total) maps the process onto itself: every
-    k-subset is equally likely. Each pass sorts and checks only the rows
-    that still had a duplicate. Rows are drawn and sorted as int32 where
-    total fits, which sorts faster than intp; numpy's bounded draw takes
-    the same 32-bit path for both, so the stream is the same.
+    k-subset is equally likely. Rows are sorted in place; each pass redraws
+    the surplus copies, row-major, and re-sorts only their rows. Drawn and
+    sorted as int32 where total fits (faster than intp); numpy's bounded
+    draw takes the same 32-bit path for both, so the stream is the same.
     """
     dtype = np.int32 if total < 2**31 else np.intp
     rows = rng.integers(0, total, (t, k), dtype=dtype)
-    todo = np.arange(t)
-    while todo.size:
+    rows.sort(axis=1)
+    todo, sub = np.arange(t), rows
+    while True:
+        row, col = np.divmod(np.flatnonzero(sub[:, 1:] == sub[:, :-1]), k - 1)
+        if not row.size:
+            return rows.astype(np.intp, copy=False)
+        row = todo[row]
+        rows.reshape(-1)[row * k + col + 1] = rng.integers(0, total, row.size, dtype=dtype)
+        todo = np.flatnonzero(np.bincount(row))
         sub = np.sort(rows[todo], axis=1)
-        surplus = np.zeros(sub.shape, dtype=bool)
-        surplus[:, 1:] = sub[:, 1:] == sub[:, :-1]
-        sub[surplus] = rng.integers(0, total, np.count_nonzero(surplus), dtype=dtype)
         rows[todo] = sub
-        todo = todo[surplus.any(axis=1)]
-    return rows.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,6 +161,9 @@ class SecretKey:
         non_traps = (~is_trap).nonzero()[0]
         non_traps.setflags(write=False)
         object.__setattr__(self, "_non_traps", non_traps)
+
+    def __reduce__(self):  # copies and unpickled keys rebuild their read-only state
+        return SecretKey, (self.total_length, self.trap_positions, self.trap_values)
 
     @property
     def num_traps(self) -> int:

@@ -417,10 +417,10 @@ def adversary_label(strategy: AdversaryStrategy) -> str:
 
 def record_to_json(record: EavesdropRecord) -> dict:
     return {
-        "positions": [int(p) for p in record.measured_positions],
-        "bases": "".join(
-            "R" if b == Basis.RECTILINEAR else "D" for b in record.measured_bases
-        ),
+        "positions": np.asarray(record.measured_positions).tolist(),
+        "bases": np.where(
+            np.asarray(record.measured_bases) == Basis.RECTILINEAR, b"R", b"D"
+        ).tobytes().decode("ascii"),
         "outcomes": bits_to_string(record.outcomes),
     }
 

@@ -54,6 +54,35 @@ def assert_key_length_red(result):
     )
 
 
+#: every criterion's report at its default size, as the seeded runs give it
+DETAILS = {
+    "key_length": "shorthand n*log2(m) = 637.8 is 15.51% from the exact 552.1 bits (gate: 8%)",
+    "sampling_tail_bound": (
+        "exact law dominated by the raw bound at all 6 non-vacuous grid points"
+    ),
+    "wegman_carter": (
+        "exhaustive s=4 forgery sweep respects the degree/16 key-fraction bound "
+        "(L<=3, equal and mixed lengths); 10000/10000 round trips at s=64; key is "
+        "2 field elements for any message length"
+    ),
+    "sampling_exact_law": (
+        "20 grid points within 3 sigma of the exact law; enumeration oracle "
+        "matched exactly at 818 small instances"
+    ),
+    "honest_correctness": "honest accepts 100000/100000 for all 6 (m,n,task) configurations",
+    "rectilinear_transparency": (
+        "adversary read M and passed certification in 100000/100000 runs"
+    ),
+    "erasure_randomness": (
+        "ones fraction 0.50034 (0.5 +- 0.00150), runs test p=0.185 over 1000000 pooled bits"
+    ),
+    "firstbit_attack": (
+        "cert 0.9498 (ref 0.95), conditional advantage 0.2364 (ref 0.2368), "
+        "security product 0.2245 (ref 0.225); 1000000 trials"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "check",
     acceptance.ALL_CHECKS,
@@ -66,10 +95,7 @@ def test_criterion(check):
         assert_key_length_red(result)
     else:
         assert result.passed, f"{result.name}: {result.detail}"
-    if result.name == "rectilinear_transparency":
-        assert result.detail == (
-            "adversary read M and passed certification in 100000/100000 runs"
-        )
+    assert result.detail == DETAILS[result.name]
 
 
 def test_enumeration_oracle_is_the_exact_law():
@@ -79,6 +105,21 @@ def test_enumeration_oracle_is_the_exact_law():
                 assert acceptance.enumerated_cert_fraction(
                     total - n, n, r
                 ) == bounds.cert_exact_fraction(total - n, n, r)
+
+
+def test_subset_count_rows_sum_to_the_binomial():
+    for total in range(13):
+        counts = acceptance._subset_counts(total)
+        assert counts.shape == (total + 1,) * 3
+        for n in range(total + 1):
+            for r in range(total + 1):
+                assert counts[n, r].sum() == math.comb(total, r)
+                # h trap hits: h of the n traps and r - h of the others
+                assert counts[n, r].tolist() == [
+                    math.comb(n, h) * math.comb(total - n, r - h) if h <= r else 0
+                    for h in range(total + 1)
+                ]
+        assert not counts.flags.writeable
 
 
 def sort_multiplicity_ok(diffs, limit):
@@ -235,3 +276,56 @@ def test_wegman_carter_draws_keys_a_batch_at_a_time(monkeypatch):
     monkeypatch.setattr(auth, "generate_auth_key", counted)
     assert acceptance.check_wegman_carter().passed
     assert calls <= 11
+
+
+def forgery_sweep_rows(monkeypatch):
+    """Run the Wegman-Carter criterion and return its packed s=4 hash rows by
+    block count, read off the rows its equal-length sweeps compare."""
+    classes = {}
+    sweep = acceptance._max_multiplicity_ok
+
+    def recording(pa, pb, limit):
+        if pb.size == 16**limit - 1:  # an equal-length sweep: row 0, then the rest
+            classes[limit] = np.concatenate([pa, pb])
+        return sweep(pa, pb, limit)
+
+    monkeypatch.setattr(acceptance, "_max_multiplicity_ok", recording)
+    assert acceptance.check_wegman_carter().passed
+    monkeypatch.undo()
+    return classes
+
+
+def test_reduced_cross_length_sweep_gives_the_full_sweeps_verdicts(monkeypatch):
+    # row 0 of the shorter class against the longer class, as the criterion
+    # sweeps, and every pair of rows; each pair fails below its bound l_big + 1
+    packed = forgery_sweep_rows(monkeypatch)
+    assert sorted(packed) == [1, 2, 3]
+    for l_small, l_big in ((1, 2), (1, 3), (2, 3)):
+        verdicts = []
+        for limit in range(1, l_big + 3):
+            full = acceptance._max_multiplicity_ok(packed[l_small], packed[l_big], limit)
+            reduced = acceptance._max_multiplicity_ok(packed[l_small][:1], packed[l_big], limit)
+            assert reduced == full
+            verdicts.append(full)
+        assert verdicts[l_big:] == [True, True]
+        assert False in verdicts
+
+
+@pytest.mark.parametrize(
+    "row", [5, 16 + 37, 16 + 256, 16 + 256 + 4095], ids=["L1", "L2", "L3-zero", "L3-last"]
+)
+def test_a_perturbed_hash_row_fails_the_linearity_check(monkeypatch, row):
+    # the hash under key 9 of one message row (rows are L=1, then L=2, then
+    # L=3 messages) has one bit flipped
+    exact_hash = auth.poly_hash
+
+    def perturbed(blocks, x, s):
+        hashes = exact_hash(blocks, x, s)
+        if s == 4 and x == 9:
+            hashes[row] ^= np.uint64(1)
+        return hashes
+
+    monkeypatch.setattr(auth, "poly_hash", perturbed)
+    result = acceptance.check_wegman_carter()
+    assert not result.passed
+    assert result.detail.startswith("poly_hash is not GF(2)-linear in the data blocks")

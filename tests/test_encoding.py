@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -179,6 +181,38 @@ def test_redrawn_subsets_stream_is_pinned(t, total, k, digest, next_draw):
     assert int(rng.integers(0, 2**31)) == next_draw
 
 
+def reference_redrawn_subsets(t, total, k, rng):
+    """The sampler's earlier loop: every pass gathers, sorts and writes back
+    whole rows, marking surplus copies in a boolean mask."""
+    dtype = np.int32 if total < 2**31 else np.intp
+    rows = rng.integers(0, total, (t, k), dtype=dtype)
+    todo = np.arange(t)
+    while todo.size:
+        sub = np.sort(rows[todo], axis=1)
+        surplus = np.zeros(sub.shape, dtype=bool)
+        surplus[:, 1:] = sub[:, 1:] == sub[:, :-1]
+        sub[surplus] = rng.integers(0, total, np.count_nonzero(surplus), dtype=dtype)
+        rows[todo] = sub
+        todo = todo[surplus.any(axis=1)]
+    return rows.astype(np.intp, copy=False)
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 64, 4096])
+@pytest.mark.parametrize(
+    "total,k",
+    [(1, 0), (9, 0), (5, 1), (10, 3), (30, 7), (100, 10), (100, 33), (120, 20),
+     (1050, 50), (1050, 105)],
+)
+def test_redrawn_subsets_match_the_reference_loop(t, total, k):
+    expected_rng, rng = stream_rng(13, t), stream_rng(13, t)
+    expected = reference_redrawn_subsets(t, total, k, expected_rng)
+    rows = encoding._redrawn_subsets(t, total, k, rng)
+    assert rows.dtype == expected.dtype == np.intp
+    assert rows.shape == expected.shape == (t, k)
+    assert np.array_equal(rows, expected)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
 def test_secret_key_invariants_are_enforced():
     values = np.array([0, 1], dtype=np.uint8)
     with pytest.raises(ValueError):
@@ -237,6 +271,16 @@ def test_secret_key_holds_its_non_trap_positions_read_only():
         assert key.non_trap_positions() is non_traps
         with pytest.raises(ValueError, match="read-only"):
             non_traps[0] = 0
+    # copies and unpickled keys hold their own read-only positions
+    for key in keys:
+        for copied in (copy.copy(key), copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+            assert copied.total_length == key.total_length
+            assert np.array_equal(copied.trap_positions, key.trap_positions)
+            assert np.array_equal(copied.trap_values, key.trap_values)
+            non_traps = copied.non_trap_positions()
+            assert non_traps.tolist() == key.non_trap_positions().tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                non_traps[0] = 0
     # the cached positions are not part of the key's repr or equality
     key = SecretKey(7, [3], [1])
     assert repr(key) == "SecretKey(total_length=7, trap_positions=array([3]), trap_values=array([1]))"
@@ -337,6 +381,8 @@ def test_key_json_round_trip_and_schema():
 
 def test_bit_string_helpers():
     assert bits_to_string(as_bits("0110")) == "0110"
+    assert bits_to_string([True, False]) == "10"
+    assert bits_to_string(np.zeros(0, np.uint8)) == ""
     assert as_bits("10").tolist() == [1, 0]
     with pytest.raises(ValueError):
         as_bits("102")

@@ -25,6 +25,7 @@ from privdel.parties import (
     adversary_label,
     discr_guess,
     prover_respond,
+    record_to_json,
     transcript_row,
     verify,
 )
@@ -308,6 +309,21 @@ def test_transcript_schema_and_labels():
     assert adversary_label(NoOp()) == "noop"
     assert adversary_label(FirstBit()) == "firstbit"
     assert adversary_label(RectilinearSample(3)).startswith("sample(r=3")
+
+
+def test_record_json_letters_match_a_per_position_reference():
+    rng = stream_rng(19, 0)
+    for size in (0, 1, 50):
+        positions = np.sort(rng.choice(120, size, replace=False))
+        bases = rng.integers(0, 2, size, dtype=np.uint8)
+        outcomes = rng.integers(0, 2, size, dtype=np.uint8)
+        row = record_to_json(adversary_record(positions, bases, outcomes))
+        assert row == {
+            "positions": [int(p) for p in positions],
+            "bases": "".join("R" if b == Basis.RECTILINEAR else "D" for b in bases),
+            "outcomes": "".join("1" if b else "0" for b in outcomes),
+        }
+        assert all(type(p) is int for p in row["positions"])
 
 
 # -- the per-instance stream, pinned ------------------------------------------
