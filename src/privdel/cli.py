@@ -567,6 +567,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         # domain errors from bad flag values or unusable files: exit 2, no traceback
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except MemoryError as exc:
+        # a batch under the size estimate can still outgrow this machine's memory
+        parser.exit(2, f"{parser.prog}: error: {str(exc) or 'out of memory'}\n")
 
 
 if __name__ == "__main__":

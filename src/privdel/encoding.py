@@ -162,6 +162,15 @@ class SecretKey:
         non_traps.setflags(write=False)
         object.__setattr__(self, "_non_traps", non_traps)
 
+    def __eq__(self, other):  # by value: the generated one compares arrays as tuples
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.total_length == other.total_length
+            and np.array_equal(self.trap_positions, other.trap_positions)
+            and np.array_equal(self.trap_values, other.trap_values)
+        )
+
     def __reduce__(self):  # copies and unpickled keys rebuild their read-only state
         return SecretKey, (self.total_length, self.trap_positions, self.trap_values)
 

@@ -177,6 +177,20 @@ def test_batch_too_large_to_allocate_exits_two(monkeypatch, capsys):
         assert_exits_two(args, capsys)
 
 
+def test_out_of_memory_exits_two(monkeypatch, capsys):
+    # a batch under the size estimate can still fail to allocate on a small machine
+    from privdel import cli
+
+    for error in (MemoryError(), MemoryError("Unable to allocate 2.00 GiB")):
+
+        def run_cert(config, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "run_cert", run_cert)
+        stderr = assert_exits_two(["cert", "--m", "90", "--n", "10", "--trials", "10"], capsys)
+        assert stderr == f"privdel cert: error: {str(error) or 'out of memory'}\n"
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -288,6 +288,33 @@ def test_secret_key_holds_its_non_trap_positions_read_only():
     assert key != SecretKey(8, [3], [1])
 
 
+def test_secret_keys_compare_by_value():
+    key = SecretKey(7, [1, 3], [0, 1])
+    assert key == SecretKey(7, [1, 3], [0, 1])
+    assert key == SecretKey(7, np.array([1, 3]), np.array([0, 1], dtype=np.uint8))
+    assert not key != SecretKey(7, (1, 3), (0, 1))
+    for other in (
+        SecretKey(8, [1, 3], [0, 1]),
+        SecretKey(7, [1, 4], [0, 1]),
+        SecretKey(7, [1, 3], [1, 1]),
+        SecretKey(7, [1, 3, 5], [0, 1, 0]),
+        SecretKey(7, [1], [0]),
+    ):
+        assert key != other and other != key
+        assert not key == other
+    assert key != (7, [1, 3], [0, 1])
+    large = generate_key(100, 20, stream_rng(67, 0))
+    copies = (
+        copy.deepcopy(large), pickle.loads(pickle.dumps(large)), key_from_json(key_to_json(large))
+    )
+    for copied in copies:
+        assert copied == large and large == copied
+        assert copied is not large
+    assert large != generate_key(100, 20, stream_rng(67, 1))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(key)
+
+
 def test_key_length_examples():
     assert key_length_bits(17, 0) == (0.0, 0.0)
     exact, _ = key_length_bits(2, 1)

@@ -383,6 +383,35 @@ def test_engine_stream_is_pinned():
     assert rng.bit_generator.state == before
 
 
+KERNEL_PIN = "59b7da8f72bb16469c65f50598af9c8d3c675000e6ff2fd0eb4e4502026d6e46"
+
+
+def test_kernel_outputs_are_pinned():
+    # the verdicts, attack outcomes, attacked sites and guesses of the
+    # pinned draws: a faster kernel must return them byte for byte. The
+    # candidate is not constant, so a wrong count of traps before an
+    # attacked position picks a wrong message bit and shows here
+    configs = [(m, n, adversary) for m, n, adversary, *_ in STREAM_PINS] + [
+        (1000, 50, RectilinearSample(105)),
+        (90, 10, RectilinearSample(50)),
+        (1000, 50, NonTraps()),
+    ]
+    digest = hashlib.sha256()
+    for m, n, adversary in configs:
+        candidate = (np.arange(m) * 7 % 5 < 2).astype(np.uint8)
+        for legit in (None, candidate):
+            batch = _engine.run_batch(
+                m, n, Task.STORAGE, adversary, 64, stream_rng(2026, m + n), legit
+            )
+            for field in ("accepted", "outcomes", "sites", "guesses"):
+                array = getattr(batch, field)
+                digest.update(field.encode())
+                if array is not None:
+                    digest.update(f"{array.dtype.str}{array.shape}".encode())
+                    digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == KERNEL_PIN
+
+
 # -- exact enumeration oracle for the engine kernel ------------------------
 #
 # At m+n <= 6 every input of the kernel can be listed: trap set, trap values,
@@ -590,6 +619,113 @@ def test_key_length_point_runs_in_bounded_memory(adversary):
     assert peak < 64_000_000
     p = report.analytic_reference
     assert abs(report.estimate - p) <= three_sigma(p, trials)
+
+
+@pytest.mark.parametrize(
+    "m,n,adversary,discr",
+    [
+        (1000, 50, RectilinearSample(105), False),
+        (1000, 50, RectilinearSample(1050), False),
+        (1, 200, RectilinearSample(201), False),
+        (100, 20, RectilinearSample(120), True),
+        (1000, 50, NonTraps(), False),
+    ],
+    ids=["wide", "wide-all", "all-traps", "discr-all", "nontraps"],
+)
+def test_one_batch_peaks_under_its_estimate(m, n, adversary, discr):
+    # the estimate behind the 2 GiB refusal must hold for the batch itself:
+    # draws, the trap search and the site arrays
+    legit = np.zeros(m, dtype=np.uint8) if discr else None
+    tracemalloc.start()
+    try:
+        _engine.run_batch(m, n, Task.ERASURE, adversary, BATCH_TRIALS, stream_rng(5, m), legit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _engine.batch_bytes(BATCH_TRIALS, m, n, adversary.attacked(m, n))
+
+
+def matches_by_sets(traps, positions):
+    """`_engine._matches` one row and one attacked position at a time."""
+    t, n = traps.shape
+    k = positions.shape[1]
+    trap_at, site_at, before = [], [], np.empty((t, k), dtype=np.intp)
+    for i in range(t):
+        common = set(traps[i].tolist()) & set(positions[i].tolist())
+        for j, p in enumerate(positions[i].tolist()):
+            before[i, j] = int((traps[i] < p).sum())
+            if p in common:
+                trap_at.append(i * n + before[i, j])
+                site_at.append(i * k + j)
+    return np.array(trap_at, dtype=np.intp), np.array(site_at, dtype=np.intp), before
+
+
+def overlapping_rows(t, window, size, top, rng):
+    """(t, size) row-sorted subsets of the last `window` positions below `top`."""
+    return top - window + encoding.uniform_subsets(t, window, size, rng)
+
+
+@pytest.mark.parametrize("searched", [0, 10**6], ids=["sorted", "searched"])
+@pytest.mark.parametrize(
+    "total",
+    [100, 2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**40],
+    ids=["int16", "int16-top", "int32", "int32-top", "int64", "int64-far"],
+)
+@pytest.mark.parametrize(
+    "t,n,k", [(64, 8, 1), (64, 8, 2), (64, 8, 5), (64, 8, 8), (64, 8, 20), (1, 8, 20), (5, 3, 40)]
+)
+def test_matches_agree_with_set_intersection(monkeypatch, searched, total, t, n, k):
+    # attacked traps found by a row sort or by a binary search are those of
+    # a per-row set intersection, in the order of the attacked sites, and
+    # the count before each attacked position is that of the smaller traps.
+    # Rows are drawn near the top of `total`, so each key width is used
+    # without a (t, total) array
+    monkeypatch.setattr(_engine, "SEARCHED_SITES", searched)
+    rng = stream_rng(77, total + k)
+    window = max(n, k) + 4
+    for trap_window, trap_top, site_window in (
+        (window, total, window),
+        # disjoint: traps below every attacked position
+        (n, total - k, k),
+        # fully overlapping: every trap attacked, or every attacked site a trap
+        (max(n, k), total, max(n, k)),
+    ):
+        traps = overlapping_rows(t, trap_window, n, trap_top, rng)
+        positions = overlapping_rows(t, site_window, k, total, rng)
+        expected = matches_by_sets(traps, positions)
+        for with_before in (False, True):
+            got = _engine._matches(traps, positions, total, with_before)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+            if with_before:
+                assert np.array_equal(got[2], expected[2])
+            else:
+                assert got[2] is None
+
+
+def test_matches_when_every_position_is_attacked():
+    # k = m + n: every trap is attacked, in the order of the traps
+    for m, n in ((0, 3), (1, 200), (40, 5)):
+        total = m + n
+        rng = stream_rng(78, total)
+        traps = encoding.uniform_subsets(64, total, n, rng)
+        positions = encoding.uniform_subsets(64, total, total, rng)
+        got = _engine._matches(traps, positions, total, True)
+        assert np.array_equal(got[0], np.arange(64 * n))
+        for array, expected in zip(got, matches_by_sets(traps, positions)):
+            assert np.array_equal(array, expected)
+
+
+@pytest.mark.parametrize("searched", [0, 10**6], ids=["sorted", "searched"])
+def test_matches_stay_within_their_row(monkeypatch, searched):
+    # row 1's first key, trap 9, comes right after row 0's last, attacked
+    # position 9: laid end to end, the two would seem to match
+    monkeypatch.setattr(_engine, "SEARCHED_SITES", searched)
+    traps = np.array([[0], [9]])
+    positions = np.array([[1, 2, 3, 4, 9], [10, 11, 12, 13, 14]])
+    trap_at, site_at, before = _engine._matches(traps, positions, 15, True)
+    assert trap_at.size == site_at.size == 0
+    assert before.tolist() == [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1]]
 
 
 @pytest.mark.parametrize("game", ["cert", "discr"])
