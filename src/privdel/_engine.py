@@ -196,12 +196,13 @@ def batch_bytes(t: int, m: int, n: int, k: int) -> int:
     The drawn inputs, sort keys and site arrays take at most about 48
     bytes per trap or attacked site (measured up to 40 with `tracemalloc`).
     A subset of one run, or of a third of the positions or more, is drawn
-    (`encoding.uniform_subsets`) through a (t, m+n) intp shuffle or a
-    (t, m+n) mask, which dominates at large m.
+    (`encoding.uniform_subsets`) through an (m+n,) intp permutation or a
+    (t, m+n) byte mask, about 2 bytes per position with its draw; counted
+    here at 8 bytes per position, it dominates at large m.
     """
     total = m + n
-    shuffled = any(size and (t == 1 or 3 * size >= total) for size in (n, k))
-    return t * (48 * (n + k) + (8 * total if shuffled else 0))
+    dense = any(size and (t == 1 or 3 * size >= total) for size in (n, k))
+    return t * (48 * (n + k) + (8 * total if dense else 0))
 
 
 class Batch(NamedTuple):

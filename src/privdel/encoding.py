@@ -6,7 +6,10 @@ holds one uint8 site, ``2*basis + bit``, per position (see `qubit`). The
 secret key is the trap positions plus the trap values; its length in
 bits is n + log2(C(m+n, n)). `uniform_subsets` is the one sampler of
 position sets: keys, the batched engine's traps and sampled attack
-positions all come from it.
+positions all come from it. A key's row is a permutation's prefix; a
+batch's rows come, by size, from a byte mask trimmed to size k (a third
+of the positions up to two thirds), from k draws with duplicates redrawn
+(fewer), or as the complement of such a draw (more).
 """
 
 from __future__ import annotations
@@ -64,26 +67,27 @@ def uniform_subsets(
 
     One row (t == 1) is the sorted first k entries of
     ``rng.permutation(total)``, as keys always were. A batch
-    picks its draw from the sizes: the full set is ``arange`` rows, with no
-    draw; if the other total - k are under a third, they are redrawn and
-    each row is their complement (`complement_subsets`); else from a third
-    up, rows are sorted shuffle prefixes, and below, k draws with their
-    duplicates redrawn (`_redrawn_subsets`), O(k log k) per row. At t=4096
-    on 2 cores, shuffled vs redrawn: total=1050 k=50 62 vs 2.7 ms, k=105
-    70 vs 5.7, k=263 66 vs 27, k=315 65 vs 35; total=100 k=10 4.9 vs 0.6,
-    k=33 5.4 vs 2.9, k=40 5.4 vs 4.0. Shuffled vs complement: total=100
-    k=75 6.1 vs 4.2 ms, k=90 5.9 vs 1.9, k=100 (no draw) 8.3 vs 0.2;
-    total=1050 k=800 81 vs 44, k=1000 88 vs 9.9 (the thresholds fix the
-    stream). At (120, 20) the redraw loses at t=1, 4 (the permutation) vs
-    28 us, and t=8, 15 vs 52 us; at t=64 the two tie."""
-    if t == 1:  # the same draws and rows as a one-row `_shuffled_subsets`
+    picks its draw from the sizes: the full set is a read-only broadcast
+    ``arange`` row, with no draw; if the other total - k are under a third,
+    they are redrawn and each row is their complement (`complement_subsets`);
+    else from a third up, a byte mask trimmed to size k (`_masked_subsets`),
+    and below, k draws with their duplicates redrawn (`_redrawn_subsets`),
+    O(k log k) per row. At t=4096 on 2 cores, masked vs redrawn: total=100
+    k=34 2.2 vs 3.0 ms, k=40 2.2 vs 3.9, total=1050 k=350 12 vs 38; masked
+    vs complement: total=100 k=66 2.3 vs 4.0, total=1050 k=700 14 vs 52;
+    masked alone: total=100 k=50 2.1, total=1050 k=525 12. Outside its
+    sizes the mask loses: total=100 k=20 2.4 vs 1.3 redrawn, total=1050
+    k=105 20 vs 4.7, total=100 k=90 3.0 vs 1.3 complement, total=1050
+    k=1000 18 vs 8.4 (the thresholds fix the stream). At (120, 20) the redraw loses at t=1,
+    4 (the permutation) vs 28 us, and t=8, 15 vs 52 us; at t=64 the two tie."""
+    if t == 1:  # one row is a permutation's sorted prefix, as keys always were
         return np.sort(rng.permutation(total)[:k])[None]
     if k == total:
-        return np.arange(total, dtype=np.intp)[None].repeat(t, axis=0)
+        return np.broadcast_to(np.arange(total, dtype=np.intp), (t, total))
     if 3 * (total - k) < total:
         return complement_subsets(_redrawn_subsets(t, total, total - k, rng), total)
     if 3 * k >= total:
-        return _shuffled_subsets(t, total, k, rng)
+        return _masked_subsets(t, total, k, rng)
     return _redrawn_subsets(t, total, k, rng)
 
 
@@ -92,17 +96,50 @@ def complement_subsets(rows: np.ndarray, total: int) -> np.ndarray:
     t, k = rows.shape
     free = np.ones((t, total), dtype=bool)
     np.put_along_axis(free, rows, False, axis=1)
-    return np.broadcast_to(np.arange(total), free.shape)[free].reshape(t, total - k)
+    return _mask_rows(free, total - k)
 
 
-def _shuffled_subsets(
+def _mask_rows(mask: np.ndarray, k: int) -> np.ndarray:
+    """The (t, k) increasing positions of a (t, total) mask with k per row."""
+    t, total = mask.shape
+    rows = np.flatnonzero(mask).reshape(t, k)
+    rows -= np.arange(0, t * total, total)[:, None]
+    return rows
+
+
+def _masked_subsets(
     t: int, total: int, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Row i: the first k entries of the i-th of t uniform shuffles, sorted."""
-    rows = np.empty((t, total), dtype=np.intp)
-    rows[:] = np.arange(total)
-    rng.permuted(rows, axis=1, out=rows)
-    return np.sort(rows[:, :k], axis=1)
+    """Each position joins its row at a rate near k/total; then each row
+    of the wrong size is mended one uniform position at a time.
+
+    The rate is k/total rounded to a multiple of 1/256: one random byte per
+    position, read from raw 64-bit words as little-endian bytes (a fifth of
+    the cost of ``rng.bytes``), is compared with a threshold. Each
+    round, every row of the wrong size draws one position of range(total):
+    a row too large drops it if it is a member, a row too small adds it if
+    it is not. Every step treats all positions alike, so relabeling
+    range(total) maps the process onto itself: every k-subset is equally
+    likely, whatever the rate, which only sets the number of rounds (about
+    40 at (4096, 100, 50)). The mask takes one byte per position and its
+    draw one more; rows come out sorted from one `flatnonzero` of the mask.
+    """
+    raw = rng.bit_generator.random_raw(-(-t * total // 8)).astype("<u8", copy=False)
+    mask = raw.view(np.uint8)[: t * total] < (256 * k + total // 2) // total
+    left = np.count_nonzero(mask.reshape(t, total), axis=1) - k
+    off = np.flatnonzero(left)
+    left = left[off]
+    fill = left < 0  # what a row of the wrong size writes where its draw hits
+    np.abs(left, out=left)
+    base = off * total
+    while base.size:
+        flat = base + rng.integers(0, total, base.size)
+        hit = mask[flat] != fill
+        mask[flat[hit]] = fill[hit]
+        left -= hit
+        keep = left != 0
+        base, fill, left = base[keep], fill[keep], left[keep]
+    return _mask_rows(mask.reshape(t, total), k)
 
 
 def _redrawn_subsets(

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from privdel import _engine, acceptance, auth, bounds
 from privdel.encoding import key_length_bits
@@ -96,6 +97,49 @@ def test_criterion(check):
     else:
         assert result.passed, f"{result.name}: {result.detail}"
     assert result.detail == DETAILS[result.name]
+
+
+#: P(a correct engine leaves the 3-sigma band) at each `sampling_exact_law`
+#: grid point, 10^5 trials, from the exact binomial law of the acceptance
+#: count; the r = 0 points accept every run and cannot leave it
+EXACT_LAW_FALSE_ALARMS = {
+    (50, 10, 0): 0.0, (50, 10, 15): 0.00267708, (50, 10, 30): 0.00269925,
+    (50, 10, 45): 0.00275436, (50, 10, 60): 0.00282089,
+    (50, 20, 0): 0.0, (50, 20, 18): 0.00270409, (50, 20, 35): 0.00252110,
+    (50, 20, 52): 0.00405719, (50, 20, 70): 0.00426840,
+    (100, 10, 0): 0.0, (100, 10, 28): 0.00270799, (100, 10, 55): 0.00270025,
+    (100, 10, 82): 0.00269758, (100, 10, 110): 0.00282089,
+    (100, 20, 0): 0.0, (100, 20, 30): 0.00272082, (100, 20, 60): 0.00285091,
+    (100, 20, 90): 0.00478883, (100, 20, 120): 0.00426840,
+}
+
+
+def test_exact_law_gate_states_its_false_alarm_rate():
+    # the level a deliberate stream change is read against: each re-roll of
+    # a grid point turns the criterion red on correct code with this
+    # probability, whatever the seed
+    trials = 100_000
+    counts = np.arange(trials + 1)
+    level = {}
+    for m in (50, 100):
+        for n in (10, 20):
+            for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+                r = round(frac * (m + n))
+                p = bounds.cert_exact(m, n, r)
+                # the criterion's own test, on every possible estimate
+                out = np.abs(counts / trials - p) > 3.0 * math.sqrt(p * (1.0 - p) / trials)
+                low, high = counts[out & (counts < trials * p)], counts[out & (counts > trials * p)]
+                level[m, n, r] = (binom.cdf(low.max(), trials, p) if low.size else 0.0) + (
+                    binom.sf(high.min() - 1, trials, p) if high.size else 0.0
+                )
+    assert level.keys() == EXACT_LAW_FALSE_ALARMS.keys()
+    for point, pinned in EXACT_LAW_FALSE_ALARMS.items():
+        assert level[point] == pytest.approx(pinned, rel=1e-5, abs=1e-12), point
+    # about 1 in 20 for the family; the four r = (m+n)/2 points draw their
+    # attack from `encoding._masked_subsets`, so a change to it re-rolls them
+    assert sum(level.values()) == pytest.approx(0.050058, rel=1e-4)
+    middle = [(50, 10, 30), (50, 20, 35), (100, 10, 55), (100, 20, 60)]
+    assert sum(level[point] for point in middle) == pytest.approx(0.0107715, rel=1e-4)
 
 
 def test_enumeration_oracle_is_the_exact_law():

@@ -41,7 +41,7 @@ DEMO_GOLDEN_JSONL = """\
 SWEEP_GOLDEN = """\
 m,n,task,adversary,r,trials,estimate,ci95,analytic,product,seed
 10,2,storage,"sample(r=0,uniform)",0,2000,1.0,0.000958523640626467,1.0,,1926383459
-10,2,storage,"sample(r=6,uniform)",6,2000,0.5315,0.021848644734557204,0.5568181818181829,,592467769
+10,2,storage,"sample(r=6,uniform)",6,2000,0.5575,0.021747085630969026,0.5568181818181829,,592467769
 10,2,storage,"sample(r=12,uniform)",12,2000,0.2555,0.019101831095424664,0.25,,621272063
 """
 
@@ -161,14 +161,14 @@ def test_flag_errors_exit_two(capsys):
 
 
 def test_batch_too_large_to_allocate_exits_two(monkeypatch, capsys):
-    # refused from the size estimate alone: the shuffled sampler that would
-    # allocate the (4096, m+n) rows is never reached
+    # refused from the size estimate alone, before any (4096, m+n) mask
+    # is drawn
     from privdel import encoding
 
-    def never_shuffle(*args):
+    def never_draw(*args):
         raise AssertionError("a refused batch must not be drawn")
 
-    monkeypatch.setattr(encoding, "_shuffled_subsets", never_shuffle)
+    monkeypatch.setattr(encoding, "_masked_subsets", never_draw)
     for args in (
         ["cert", "--m", "1000000", "--n", "32", "--r", "1000000", "--trials", "4096"],
         # the sweep fails before its first, small point would draw

@@ -76,7 +76,7 @@ def test_trap_marginal_matches_inclusion_probability():
 
 
 SUBSET_DRAWS = (
-    pytest.param(encoding._shuffled_subsets, id="shuffled"),
+    pytest.param(encoding._masked_subsets, id="masked"),
     pytest.param(encoding._redrawn_subsets, id="redrawn"),
 )
 
@@ -109,20 +109,27 @@ def test_subset_draw_is_uniform_over_all_3_subsets_of_6(draw):
 
 
 def test_uniform_subsets_picks_its_draw_from_the_sizes():
-    shuffled, redrawn = encoding._shuffled_subsets, encoding._redrawn_subsets
+    masked, redrawn = encoding._masked_subsets, encoding._redrawn_subsets
+
+    def permuted(t, total, k, rng):
+        # one row: a permutation's sorted prefix
+        assert t == 1
+        return np.sort(rng.permutation(total)[:k])[None]
 
     def complement(t, total, k, rng):
         # the complement of a redrawn subset of the other total - k
         return encoding.complement_subsets(redrawn(t, total, total - k, rng), total)
 
     cases = (
-        (1, 1050, 5, shuffled),
-        (1, 100, 90, shuffled),
-        (1, 30, 30, shuffled),
-        (4096, 100, 50, shuffled),
+        (1, 1050, 5, permuted),
+        (1, 100, 90, permuted),
+        (1, 30, 30, permuted),
+        (4096, 100, 50, masked),
         (4096, 100, 10, redrawn),
         (4096, 1050, 105, redrawn),
-        (4096, 100, 66, shuffled),
+        (4096, 100, 34, masked),
+        (4096, 100, 33, redrawn),
+        (4096, 100, 66, masked),
         (4096, 100, 67, complement),
         (4096, 100, 90, complement),
         (4096, 1050, 1000, complement),
@@ -132,22 +139,26 @@ def test_uniform_subsets_picks_its_draw_from_the_sizes():
         expected = draw(t, total, k, expected_rng)
         assert np.array_equal(uniform_subsets(t, total, k, rng), expected), (t, total, k)
         assert rng.bit_generator.state == expected_rng.bit_generator.state
-    # the full set of a batch is drawn without touching the stream
+    # the full set of a batch is drawn without touching the stream, as
+    # one read-only row seen t times
     rng = stream_rng(63, 0)
     before = rng.bit_generator.state
     rows = uniform_subsets(8, 30, 30, rng)
     assert rows.dtype == np.intp and rows.shape == (8, 30)
     assert (rows == np.arange(30)).all()
+    assert not rows.flags.writeable and rows.strides[0] == 0
     assert rng.bit_generator.state == before
     # a single row is a permutation's sorted prefix, as keys were always drawn
     row = uniform_subsets(1, 120, 20, stream_rng(64, 0))[0]
     assert row.tolist() == sorted(stream_rng(64, 0).permutation(120)[:20].tolist())
 
 
-@pytest.mark.parametrize("total,k", [(6, 4), (7, 5)])
+@pytest.mark.parametrize("total,k", [(6, 4), (7, 3), (9, 5), (7, 5)])
 def test_uniform_subsets_is_uniform_over_every_k_subset(total, k):
-    # 4 of 6 are shuffled; the other 2 of 7 are under a third, so each
-    # 5-subset is the complement of a redrawn 2-subset
+    # 4 of 6, 3 of 7 and 5 of 9 come from the byte mask, whose rates (171,
+    # 110 and 142 of 256) are not k/total, so rows both grow and shrink to
+    # size; the other 2 of 7 are under a third, so each 5-subset is the
+    # complement of a redrawn 2-subset
     trials = 60_000
     rows = uniform_subsets(trials, total, k, stream_rng(65, total))
     assert rows.shape == (trials, k)
@@ -176,6 +187,24 @@ def test_redrawn_subsets_stream_is_pinned(t, total, k, digest, next_draw):
     # drawn and sorted as int32
     rng = stream_rng(12, 0)
     rows = encoding._redrawn_subsets(t, total, k, rng)
+    assert rows.dtype == np.intp
+    assert int((rows * np.arange(1, k + 1)).sum()) == digest
+    assert int(rng.integers(0, 2**31)) == next_draw
+
+
+@pytest.mark.parametrize(
+    "t,total,k,digest,next_draw",
+    [
+        (4096, 100, 50, 342953271, 11255408),
+        (4096, 1050, 350, 175810316005, 1709103980),
+        (64, 30, 12, 92904, 115013482),
+    ],
+)
+def test_masked_subsets_stream_is_pinned(t, total, k, digest, next_draw):
+    # the rows and where the generator is left are part of every seeded
+    # batch with a middle-size subset
+    rng = stream_rng(12, 0)
+    rows = encoding._masked_subsets(t, total, k, rng)
     assert rows.dtype == np.intp
     assert int((rows * np.arange(1, k + 1)).sum()) == digest
     assert int(rng.integers(0, 2**31)) == next_draw

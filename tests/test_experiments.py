@@ -324,8 +324,8 @@ def test_engine_t1_batch_is_the_step_by_step_run(adversary, case):
 
 # -- the engine's stream, pinned ---------------------------------------------
 #
-# One digest per draw path: traps redrawn (5 of 45), shuffled (8 of 12) or
-# the complement of a redrawn subset (8 of 10); attacks redrawn, shuffled
+# One digest per draw path: traps redrawn (5 of 45), masked (8 of 12) or
+# the complement of a redrawn subset (8 of 10); attacks redrawn, masked
 # below and above half, the complement of a redrawn subset, the full set
 # with no draw, the non-traps, first bit and nothing. Storage and erasure
 # runs draw alike; a discrimination run also draws its legit coins and,
@@ -336,12 +336,12 @@ STREAM_PINS = (
     (40, 5, NoOp(), "38add142c33a2033", "bc31040c16440968"),
     (40, 5, FirstBit(), "0c7d22d9e74aa30a", "35368982a2e723d7"),
     (40, 5, RectilinearSample(4), "7a3b881244e05b22", "5783228df1159cfc"),
-    (40, 5, RectilinearSample(20), "16eff6c84380a83c", "6bc621af868aee86"),
-    (40, 5, RectilinearSample(30), "060e2861560c4fee", "453e00cfd82854db"),
+    (40, 5, RectilinearSample(20), "453badbc1c8c64ee", "0685afb5f80c0dea"),
+    (40, 5, RectilinearSample(30), "f88ef88260ddc78e", "1ab15013517a654e"),
     (40, 5, RectilinearSample(42), "839398cb15968473", "60d8f65278b786f8"),
     (40, 5, RectilinearSample(45), "dde607d48f245e45", "12e65a49b52c1a52"),
     (40, 5, NonTraps(), "564ce5a0e245d0ef", "777d004b91e98634"),
-    (4, 8, NoOp(), "708f3ef2048b53b4", "d1bb8f15829650b5"),
+    (4, 8, NoOp(), "23c406a9da6a2261", "40df17d67e42175f"),
     (2, 8, NoOp(), "788e331a6d076743", "7958da332f4ee607"),
 )
 
@@ -383,7 +383,7 @@ def test_engine_stream_is_pinned():
     assert rng.bit_generator.state == before
 
 
-KERNEL_PIN = "59b7da8f72bb16469c65f50598af9c8d3c675000e6ff2fd0eb4e4502026d6e46"
+KERNEL_PIN = "4f21e9a03f8c2c6bd66e0304c4ed1821651c5503337f553347f045c5d3ff5ae3"
 
 
 def test_kernel_outputs_are_pinned():
@@ -629,8 +629,9 @@ def test_key_length_point_runs_in_bounded_memory(adversary):
         (1, 200, RectilinearSample(201), False),
         (100, 20, RectilinearSample(120), True),
         (1000, 50, NonTraps(), False),
+        (90, 10, RectilinearSample(50), False),
     ],
-    ids=["wide", "wide-all", "all-traps", "discr-all", "nontraps"],
+    ids=["wide", "wide-all", "all-traps", "discr-all", "nontraps", "narrow"],
 )
 def test_one_batch_peaks_under_its_estimate(m, n, adversary, discr):
     # the estimate behind the 2 GiB refusal must hold for the batch itself:
@@ -803,13 +804,13 @@ def test_config_rejects_more_attacked_positions_than_the_state_has():
         ExperimentConfig(m=6, n=2, adversary=RectilinearSample(9))
 
 
-def never_shuffle(*args):
+def never_draw(*args):
     raise AssertionError("a refused batch must not be drawn")
 
 
 def test_config_refuses_a_batch_that_cannot_be_allocated(monkeypatch):
     # the estimate is checked when the config is built; nothing is allocated
-    monkeypatch.setattr(encoding, "_shuffled_subsets", never_shuffle)
+    monkeypatch.setattr(encoding, "_masked_subsets", never_draw)
     with pytest.raises(ValueError, match=r"about 213\.6 GiB, over the 2 GiB limit"):
         ExperimentConfig(m=10**6, n=32, adversary=RectilinearSample(10**6), trials=4096)
     # the shortest state with a refused batch (all traps but one, every
